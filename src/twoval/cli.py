@@ -29,7 +29,7 @@ from .expansion import (
     orbit_expansion,
 )
 from .families import lebesgue_family, nonconstant_family, renyi_system
-from .numerics import ParseError, format_scalar, parse_scalar
+from .numerics import MixedRadicandError, ParseError, format_scalar, parse_scalar
 from .piecewise import step_from_json_dict, step_to_csv, step_to_json
 from .simulate import (
     histogram_report,
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, MixedRadicandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,11 +10,24 @@ exactly when three families of identities hold:
   fewer term on each side.
 * weight_identity, on each window J_m (m = 0..n-2, J_m = [(m+1)a, (m+2)a)
   except the last, which ends at 1-a): the first-map weight A1 = alpha1*p
-  is pinned to an explicit combination of translates of p.
+  equals the m+2 translates p(x+ka), k = -(m+1)..0, minus 1/(1-a) times
+  the m+1 rescaled translates p((x+ka)/(1-a)), k = -(m+1)..-1.
 
 Together the J_m tile [a, 1-a); alpha1 is unconstrained on [0,a) and
 [1-a, 1].  Windows can be empty (at a = 1/n the full window and the last
 J_m vanish); empty windows hold vacuously.
+
+Translates are zero where their argument leaves [0,1], so one function
+serves every window of a family:
+
+* on the short window x + (n-1)a >= 1 and (x + (n-2)a)/(1-a) >= 1, so the
+  two terms the short identity drops vanish there, and it is the full
+  identity's difference restricted to [1-(n-1)a, 2a);
+* on J_m, x + ka < 0 for every k < -(m+1), so each window's target is the
+  restriction of the one sum over k = -(n-1)..0 and k = -(n-1)..-1.
+
+The criterion therefore composes 4n translates of p, not a number that
+grows as n^2.
 
 :func:`solve_alpha1` inverts the weight identity: given (a, p) it checks
 the two density identities, reads A1 off the windows, and divides by p.
@@ -101,16 +114,13 @@ def _window_check(name: str, diff: StepFunction, lo, hi, tol) -> ConditionCheck:
     return ConditionCheck(name, Interval(lo, hi), dev, not dev > tol, False)
 
 
-def _density_checks(a, density: StepFunction, tol) -> tuple[ConditionCheck, ConditionCheck]:
-    n = derive_n(a)
-    w = 1 - a
-    split = 1 - (n - 1) * a  # the two windows meet here
+def _density_checks(a, n: int, density: StepFunction, tol) -> tuple[ConditionCheck, ConditionCheck]:
     lhs = _sum_translates(density, a, range(-1, n), rescale=False)
-    rhs = _sum_translates(density, a, range(-1, n - 1), rescale=True) / w
-    full = _window_check(FULL_WINDOW, lhs - rhs, a, split, tol)
-    lhs_s = _sum_translates(density, a, range(-1, n - 1), rescale=False)
-    rhs_s = _sum_translates(density, a, range(-1, n - 2), rescale=True) / w
-    short = _window_check(SHORT_WINDOW, lhs_s - rhs_s, split, 2 * a, tol)
+    rhs = _sum_translates(density, a, range(-1, n - 1), rescale=True)
+    diff = lhs - rhs / (1 - a)  # the short identity is this one on its window
+    split = 1 - (n - 1) * a  # the two windows meet here
+    full = _window_check(FULL_WINDOW, diff, a, split, tol)
+    short = _window_check(SHORT_WINDOW, diff, split, 2 * a, tol)
     return full, short
 
 
@@ -120,12 +130,11 @@ def _weight_window(a, n: int, m: int) -> tuple:
     return lo, hi
 
 
-def _weight_target(density: StepFunction, a, m: int) -> StepFunction:
-    """The function the weight identity pins A1 to on window J_m."""
-    w = 1 - a
-    plus = _sum_translates(density, a, range(-m - 1, 1), rescale=False)
-    minus = _sum_translates(density, a, range(-m - 1, 0), rescale=True) / w
-    return plus - minus
+def _weight_target(a, n: int, density: StepFunction) -> StepFunction:
+    """One function whose restriction to every J_m is what A1 is pinned to there."""
+    plus = _sum_translates(density, a, range(1 - n, 1), rescale=False)
+    minus = _sum_translates(density, a, range(1 - n, 0), rescale=True)
+    return plus - minus / (1 - a)
 
 
 def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionReport:
@@ -137,12 +146,11 @@ def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionRe
     a = system.a
     n = system.n
     tol = _default_tol(system.is_float, tol)
-    full, short = _density_checks(a, system.density, tol)
-    a1 = system.weight_first
+    full, short = _density_checks(a, n, system.density, tol)
+    diff = system.weight_first - _weight_target(a, n, system.density)
     weight_checks = []
     for m in range(n - 1):
         lo, hi = _weight_window(a, n, m)
-        diff = a1 - _weight_target(system.density, a, m)
         weight_checks.append(_window_check(f"{WEIGHT_IDENTITY}[{m}]", diff, lo, hi, tol))
     checks = [full, short, *weight_checks]
     return ConditionReport(
@@ -170,19 +178,15 @@ def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol
     fill = _to_backend(fill, is_float)
     if fill < 0 or fill > 1:
         raise ValueError("fill must lie in [0,1]")
-    lo_cut, hi_cut = a, 1 - a
-    marker = StepFunction.indicator(lo_cut, hi_cut, float_backend=is_float)
-    grid = (target + density + marker).breakpoints
+    marker = StepFunction.indicator(a, 1 - a, float_backend=is_float)
+    grid = target._merged_grid(density, marker)
     zero = _to_backend(0, is_float)
     one = _to_backend(1, is_float)
     values = []
-    for g_lo, g_hi in zip(grid, grid[1:]):
-        mid = (g_lo + g_hi) / 2
-        if not lo_cut <= mid < hi_cut:
+    for tv, pv, inside in zip(*(f._resample(grid) for f in (target, density, marker))):
+        if not inside:
             values.append(fill)
             continue
-        pv = density(mid)
-        tv = target(mid)
         if pv == zero:
             if abs(tv) > tol:
                 raise InfeasibleError(RANGE, abs(tv))
@@ -210,15 +214,11 @@ def solve_alpha1(a, density: StepFunction, *, fill=0, tol=None) -> EquippedSyste
         raise MixedBackendError("a and density must share one backend")
     n = derive_n(a)
     tol = _default_tol(is_float, tol)
-    full, short = _density_checks(a, density, tol)
+    full, short = _density_checks(a, n, density, tol)
     if not full.passed:
         raise InfeasibleError(FULL_WINDOW, full.deviation)
     if not short.passed:
         raise InfeasibleError(SHORT_WINDOW, short.deviation)
-    target = StepFunction.constant(0.0 if is_float else 0)
-    for m in range(n - 1):
-        lo, hi = _weight_window(a, n, m)
-        if lo < hi:
-            target = target + _weight_target(density, a, m).mask(lo, hi)
+    target = _weight_target(a, n, density).mask(a, 1 - a)
     alpha1 = _alpha_from_target(a, density, target, fill, tol)
     return EquippedSystem(a, density, alpha1)

@@ -119,22 +119,29 @@ class Surd:
             return other.d
         raise MixedRadicandError(f"cannot combine sqrt({self.d}) with sqrt({other.d})")
 
-    def _sign(self) -> int:
-        q0, q1, d = self.q0, self.q1, self.d
-        if not q1:
-            return (q0 > 0) - (q0 < 0)
-        if not q0:
-            return 1 if q1 > 0 else -1
-        s0 = 1 if q0 > 0 else -1
-        s1 = 1 if q1 > 0 else -1
+    def _cmp(self, o: "Surd") -> int:
+        """Sign of ``self - o``, decided in integers without building the difference."""
+        x, y = self.q0, o.q0
+        p = x.numerator * y.denominator - y.numerator * x.denominator
+        if self.d == 1 and o.d == 1:
+            return (p > 0) - (p < 0)
+        d = self._common_d(o)
+        pd = x.denominator * y.denominator
+        x, y = self.q1, o.q1
+        q = x.numerator * y.denominator - y.numerator * x.denominator
+        qd = x.denominator * y.denominator
+        # self - o = p/pd + (q/qd)*sqrt(d) with pd, qd > 0
+        if not q:
+            return (p > 0) - (p < 0)
+        s1 = 1 if q > 0 else -1
+        if not p:
+            return s1
+        s0 = 1 if p > 0 else -1
         if s0 == s1:
             return s0
-        # Opposite signs: |q0| vs |q1|*sqrt(d) decided by squaring.
-        lhs = q0 * q0
-        rhs = q1 * q1 * d
-        if lhs == rhs:
-            return 0  # only possible when q1 == 0; kept for safety
-        return s0 if lhs > rhs else s1
+        # Opposite signs: |p|/pd vs |q|*sqrt(d)/qd, decided by squaring.
+        # They cannot tie, since q != 0 and d is square-free.
+        return s0 if (p * qd) ** 2 > (q * pd) ** 2 * d else s1
 
     # -- arithmetic ------------------------------------------------------
 
@@ -209,7 +216,7 @@ class Surd:
         return out
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if self._cmp(_ZERO) < 0 else self
 
     # -- comparisons -----------------------------------------------------
 
@@ -230,25 +237,25 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o)._sign() < 0
+        return self._cmp(o) < 0
 
     def __le__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o)._sign() <= 0
+        return self._cmp(o) <= 0
 
     def __gt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o)._sign() > 0
+        return self._cmp(o) > 0
 
     def __ge__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o)._sign() >= 0
+        return self._cmp(o) >= 0
 
     def __bool__(self):
         return bool(self.q0) or bool(self.q1)
@@ -280,6 +287,9 @@ class Surd:
         if not self.q1:
             return f"Surd({str(self.q0)!r})"
         return f"Surd({str(self.q0)!r}, {str(self.q1)!r}, {self.d})"
+
+
+_ZERO = Surd(0)
 
 
 def sqrt_scalar(v: _RationalLike) -> Surd:

@@ -187,23 +187,41 @@ class StepFunction:
 
     # -- grid alignment --------------------------------------------------
 
-    def _merged_grid(self, other: "StepFunction") -> list:
-        if self.is_float:
-            pts = sorted(set(self.breakpoints) | set(other.breakpoints))
-            grid = [0.0]
-            for t in pts[1:]:
-                if t - grid[-1] > FLOAT_SNAP:
-                    grid.append(t)
-            if grid[-1] != 1.0:
-                if 1.0 - grid[-1] <= FLOAT_SNAP:
-                    grid[-1] = 1.0
-                else:
-                    grid.append(1.0)
-            return grid
-        return sorted(set(self.breakpoints) | set(other.breakpoints))
+    def _merged_grid(self, *others: "StepFunction") -> list:
+        pts = sorted(set(self.breakpoints).union(*(o.breakpoints for o in others)))
+        if not self.is_float:
+            return pts
+        grid = [0.0]
+        for t in pts[1:]:
+            if t - grid[-1] > FLOAT_SNAP:
+                grid.append(t)
+        if grid[-1] != 1.0:
+            if 1.0 - grid[-1] <= FLOAT_SNAP:
+                grid[-1] = 1.0
+            else:
+                grid.append(1.0)
+        return grid
 
     def _resample(self, grid: Sequence) -> list:
-        return [self((lo + hi) / 2) for lo, hi in zip(grid, grid[1:])]
+        """The value on each cell of ``grid``, in one pass over both grids.
+
+        An exact grid refines this function's breakpoints, so each cell is
+        found by its left end.  A float grid may have snapped a breakpoint
+        onto a neighbour, so each cell is found by its midpoint.
+        """
+        bps, vals = self.breakpoints, self.values
+        last = len(vals) - 1
+        i = 0
+        out = []
+        if self.is_float:
+            probes = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
+        else:
+            probes = grid[:-1]
+        for x in probes:
+            while i < last and bps[i + 1] <= x:
+                i += 1
+            out.append(vals[i])
+        return out
 
     def _zip_with(self, other, op) -> "StepFunction":
         if isinstance(other, StepFunction):

@@ -214,6 +214,9 @@ def system_from_json_dict(d: dict) -> EquippedSystem:
         raise ParseError(f"bad parameter a: {raw_a!r}")
     density = step_from_json_dict(raw_p)
     alpha1 = step_from_json_dict(raw_alpha)
+    radicands = {density.radicand, alpha1.radicand, 1 if isinstance(a, float) else a.d} - {1}
+    if len(radicands) > 1:
+        raise ParseError(f"a, p and alpha1 mix radicands {sorted(radicands)}")
     try:
         return EquippedSystem(a, density, alpha1)
     except (ValueError, MixedBackendError) as exc:

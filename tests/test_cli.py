@@ -241,6 +241,31 @@ class TestExpand:
         assert code == 2
 
 
+class TestMixedRadicands:
+    """Scalars over sqrt(2), sqrt(3) and sqrt(5) in one command are bad input, not a crash."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--x", "1/2*sqrt(2)", "--beta", "1/2+1/2*sqrt(5)"],
+            ["family", "nonconstant", "--n", "2", "--beta", "sqrt(2)"],
+            ["check", "{mixed}"],
+        ],
+        ids=["expand", "family", "check"],
+    )
+    def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps({
+            "a": "-1/4 + 1/2*sqrt(2)",
+            "p": {"breakpoints": ["0", "1"], "values": ["1 + 1/4*sqrt(3)"], "backend": "exact-3"},
+            "alpha1": {"breakpoints": ["0", "1"], "values": ["0"], "backend": "exact-1"},
+        }), encoding="utf-8")
+        assert main([arg.format(mixed=mixed) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestEntryPoints:
     def test_no_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Invariance window identities, the condition report, and the alpha1 solver."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from twoval.criterion import (
     invariance_defect,
     solve_alpha1,
 )
+from twoval.families import lebesgue_family, nonconstant_family
 from twoval.piecewise import StepFunction
 from twoval.system import EquippedSystem
 
@@ -89,6 +91,62 @@ class TestConditionReport:
             conditions_hold = check_invariance_conditions(s).passed
             invariant = invariance_defect(s).sup_norm() == 0
             assert conditions_hold == invariant
+
+
+def shifted_in_window(system: EquippedSystem, m: int) -> EquippedSystem:
+    """alpha1 moved by 1/3 on the piece of it that holds the middle of J_m (m < n-2)."""
+    a = system.a
+    lo, hi = (m + 1) * a, (m + 2) * a
+    bps = system.alpha1.breakpoints
+    i = bisect_right(bps, (lo + hi) / 2) - 1
+    v = system.alpha1.values[i]
+    step = Fraction(1, 3) if v <= Fraction(1, 2) else Fraction(-1, 3)
+    bump = step * StepFunction.indicator(max(bps[i], lo), min(bps[i + 1], hi))
+    return EquippedSystem(a, system.density, system.alpha1 + bump)
+
+
+class TestLargeN:
+    """The window identities against the pushforward defect, at sizes the other tests do not reach."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: lebesgue_family(40),
+            lambda: lebesgue_family(80),
+            lambda: nonconstant_family(16, 2, 3),
+            lambda: nonconstant_family(32, 5, 1),
+            lambda: solve_alpha1(Fraction(1, 80), StepFunction.constant(1)),
+        ],
+        ids=["lebesgue-40", "lebesgue-80", "nonconstant-16", "nonconstant-32", "solved-1/80"],
+    )
+    def test_conditions_match_defect(self, build):
+        system = build()
+        report = check_invariance_conditions(system)
+        assert report.passed and invariance_defect(system).sup_norm() == 0
+        m = (system.n - 2) // 2
+        shifted = shifted_in_window(system, m)
+        report = check_invariance_conditions(shifted)
+        assert [c.name for c in report.checks if not c.passed] == [f"weight_identity[{m}]"]
+        assert invariance_defect(shifted).sup_norm() != 0
+
+
+class TestLinearCost:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_translates_linear_in_n(self, n, monkeypatch):
+        system = lebesgue_family(n)
+        calls = []
+        compose = StepFunction.compose_affine
+
+        def counted(self, c, b):
+            calls.append(None)
+            return compose(self, c, b)
+
+        monkeypatch.setattr(StepFunction, "compose_affine", counted)
+        check_invariance_conditions(system)
+        assert len(calls) <= 4 * n + 2
+        calls.clear()
+        solve_alpha1(system.a, system.density)
+        assert len(calls) <= 4 * n + 2
 
 
 class TestFloatBackend:
@@ -177,6 +235,14 @@ class TestRangeGuard:
         target = StepFunction.constant(0)
         alpha = _alpha_from_target(self.A, density, target, Fraction(1, 2), 0)
         assert alpha(Fraction(9, 20)) == Fraction(1, 2)
+
+    def test_density_step_where_target_plus_density_is_flat(self):
+        # p steps up at 1/2 by what the forced weight steps down, so
+        # target + p is one piece across 1/2, yet alpha1 must step there
+        density = StepFunction([0, Fraction(1, 2), 1], [1, 2])
+        target = StepFunction.indicator(self.A, Fraction(1, 2))
+        alpha = _alpha_from_target(self.A, density, target, 0, 0)
+        assert alpha == StepFunction([0, self.A, Fraction(1, 2), 1], [0, 1, 0])
 
     def test_zero_density_with_nonzero_target_is_infeasible(self):
         density = StepFunction([0, self.A, Fraction(1, 2), 1], [1, 0, 1])

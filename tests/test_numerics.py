@@ -14,6 +14,7 @@ from twoval.numerics import (
     MixedRadicandError,
     ParseError,
     Surd,
+    exactify,
     format_scalar,
     parse_scalar,
     sqrt_scalar,
@@ -156,6 +157,44 @@ class TestComparisons:
 
     def test_explicit_float_conversion(self):
         assert math.isclose(float(GOLDEN_A), (3 - math.sqrt(5)) / 2, abs_tol=1e-15)
+
+
+def _random_surd(rng: random.Random, d: int) -> Surd:
+    """Small coefficients, so equal pairs and near ties (99/70 vs sqrt(2)) both occur."""
+    dens = [1, 2, 3, 5, 70, 99, 161]
+    q0 = Fraction(rng.randint(-12, 12), rng.choice(dens))
+    q1 = Fraction(rng.randint(-12, 12), rng.choice(dens)) if rng.random() < 0.7 else 0
+    return Surd(q0, q1, d)
+
+
+class TestComparisonOracle:
+    """Ordering, equality and abs against sympy's algebraic numbers."""
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_agrees_with_sympy(self, d):
+        sympy = pytest.importorskip("sympy")
+
+        def sym(x):
+            x = exactify(x)
+            q0, q1 = (sympy.Rational(q.numerator, q.denominator) for q in (x.q0, x.q1))
+            return q0 + q1 * sympy.sqrt(x.d)
+
+        rng = random.Random(d)
+        pool = [_random_surd(rng, d) for _ in range(40)]
+        pool += [Surd(0, 1, d), Surd(Fraction(99, 70)), Surd(Fraction(161, 72)), 0, 3, Fraction(-7, 5)]
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(300)]
+        pairs += [(x, x) for x in pool]
+        for x, y in pairs:
+            if not isinstance(x, Surd) and not isinstance(y, Surd):
+                continue
+            diff = sym(x) - sym(y)
+            assert (x < y) == bool(diff < 0), (x, y)
+            assert (x <= y) == bool(diff <= 0), (x, y)
+            assert (x > y) == bool(diff > 0), (x, y)
+            assert (x >= y) == bool(diff >= 0), (x, y)
+            assert (x == y) == (diff == 0), (x, y)
+        for x in pool:
+            assert sympy.expand(sym(abs(x)) - sympy.Abs(sym(x))) == 0, x
 
 
 class TestFamilyRoots:

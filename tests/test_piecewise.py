@@ -140,6 +140,46 @@ class TestAlgebra:
         assert (f * g)(x) == f(x) * g(x)
 
 
+def _ragged_exact(rng: random.Random, pieces: int, shared=()) -> StepFunction:
+    cuts = set(rng.sample(list(shared), len(shared) // 2)) if shared else set()
+    while len(cuts) < pieces - 1:
+        cuts.add(Fraction(rng.randint(1, 4999), 5000))
+    root5 = Surd(0, 1, 5)
+    vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) + rng.randint(-2, 2) * root5 for _ in range(len(cuts) + 1)]
+    return StepFunction([0, *sorted(cuts), 1], vals)
+
+
+def _ragged_float(rng: random.Random, pieces: int, near=()) -> StepFunction:
+    """Breakpoints in pairs 3e-13 apart, and within FLOAT_SNAP of ``near``."""
+    cuts = {t + rng.choice([-8e-13, -3e-13, 3e-13, 8e-13]) for t in near}
+    while len(cuts) < pieces - 1:
+        t = rng.uniform(0.01, 0.99)
+        cuts.update((t, t + 3e-13))
+    return StepFunction([0.0, *sorted(cuts), 1.0], [rng.uniform(-2, 2) for _ in range(len(cuts) + 1)])
+
+
+class TestResampleOracle:
+    """The one-pass resample against evaluating every merged cell at its midpoint."""
+
+    @staticmethod
+    def midpoint_rule(f, g, op):
+        grid = f._merged_grid(g)
+        return StepFunction(grid, [op(f(m), g(m)) for m in ((lo + hi) / 2 for lo, hi in zip(grid, grid[1:]))])
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_binary_ops_match_midpoint_rule(self, backend):
+        rng = random.Random(f"resample-{backend}")
+        for _ in range(4):
+            if backend == "exact":
+                f = _ragged_exact(rng, rng.randint(50, 200))
+                g = _ragged_exact(rng, rng.randint(50, 200), shared=f.breakpoints[1:-1])
+            else:
+                f = _ragged_float(rng, rng.randint(50, 200))
+                g = _ragged_float(rng, rng.randint(50, 200), near=f.breakpoints[1:-1:3])
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                assert op(f, g) == self.midpoint_rule(f, g, op)
+
+
 class TestComposeAffine:
     def test_squeeze_with_zero_extension(self):
         f = StepFunction([0, H, 1], [2, 5])

@@ -198,6 +198,12 @@ class TestSerialization:
             # backend mismatch between a and the functions
             '{"a": 0.25, "p": {"breakpoints": [0, 1], "values": [1], "backend": "exact-1"},'
             ' "alpha1": {"breakpoints": [0, 1], "values": [1], "backend": "exact-1"}}',
+            # a over sqrt(2), p over sqrt(3)
+            '{"a": "-1/4 + 1/2*sqrt(2)", "p": {"breakpoints": [0, 1], "values": ["1 + sqrt(3)"], "backend": "exact-3"},'
+            ' "alpha1": {"breakpoints": [0, 1], "values": [0], "backend": "exact-1"}}',
+            # p over sqrt(5), alpha1 over sqrt(2)
+            '{"a": "1/3", "p": {"breakpoints": [0, 1], "values": ["1 + sqrt(5)"], "backend": "exact-5"},'
+            ' "alpha1": {"breakpoints": [0, 1], "values": ["1/2*sqrt(2)"], "backend": "exact-2"}}',
         ],
     )
     def test_bad_json_rejected(self, text):
