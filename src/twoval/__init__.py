@@ -46,7 +46,6 @@ from .numerics import (
     Scalar,
     Surd,
     format_scalar,
-    is_exact,
     parse_scalar,
     sqrt_scalar,
 )
@@ -71,9 +70,7 @@ from .simulate import (
     write_sample_file,
 )
 from .system import (
-    BranchChoice,
     EquippedSystem,
-    apply_branch,
     as_float_system,
     derive_n,
     pushforward_density,
@@ -85,7 +82,6 @@ from .system import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BranchChoice",
     "BudgetExceededError",
     "ChainReport",
     "ConditionCheck",
@@ -106,7 +102,6 @@ __all__ = [
     "StepFunction",
     "Surd",
     "ZeroMassError",
-    "apply_branch",
     "as_float_system",
     "check_invariance_conditions",
     "derive_n",
@@ -116,7 +111,6 @@ __all__ = [
     "greedy_expansion",
     "histogram_report",
     "invariance_defect",
-    "is_exact",
     "lebesgue_family",
     "nonconstant_family",
     "normalize",

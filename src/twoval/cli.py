@@ -31,12 +31,7 @@ from .expansion import (
 from .families import lebesgue_family, nonconstant_family, renyi_system
 from .numerics import MixedRadicandError, ParseError, format_scalar, parse_scalar
 from .piecewise import step_from_json_dict, step_to_csv, step_to_json
-from .simulate import (
-    histogram_report,
-    run_chain,
-    sample_from_density,
-    write_sample_file,
-)
+from .simulate import run_chain, write_sample_file
 from .system import (
     as_float_system,
     pushforward_density,
@@ -122,26 +117,17 @@ def cmd_pushforward(args) -> int:
 
 def cmd_simulate(args) -> int:
     system = _load_system(args.system)
-    fs = system if system.is_float else as_float_system(system)
-    if args.steps == 0:
-        drawn = sample_from_density(fs.density, args.samples, args.seed, stream=args.stream)
-        values = drawn.values
-        final = histogram_report(values, fs.density, bins=args.bins)
-        step_distances = []
-    else:
-        chain = run_chain(
-            fs,
-            args.samples,
-            args.steps,
-            args.seed,
-            bins=args.bins,
-            stream=args.stream,
-        )
-        values = chain.final_values
-        final = chain.final
-        step_distances = chain.step_distances
+    chain = run_chain(
+        as_float_system(system),
+        args.samples,
+        args.steps,
+        args.seed,
+        bins=args.bins,
+        stream=args.stream,
+    )
+    final = chain.final
     if args.out:
-        write_sample_file(args.out, values)
+        write_sample_file(args.out, chain.final_values)
     if args.report:
         payload = {
             "n_samples": args.samples,
@@ -151,7 +137,7 @@ def cmd_simulate(args) -> int:
             "bins": args.bins,
             "l1_distance_to_reference": final.l1_distance_to_reference,
             "ks_statistic": final.ks_statistic,
-            "step_distances": step_distances,
+            "step_distances": chain.step_distances,
         }
         _emit(json.dumps(payload, indent=2), args.report)
     print(

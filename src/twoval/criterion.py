@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import Interval, MixedBackendError, Scalar, format_scalar
-from .piecewise import StepFunction, _to_backend
-from .system import EquippedSystem, derive_n, pushforward_density
+from .numerics import FLOAT, Interval, Scalar, format_scalar
+from .piecewise import StepFunction
+from .system import EquippedSystem, check_fill, derive_n, pushforward_density
 
-FLOAT_TOL = 1e-10
+FLOAT_TOL = FLOAT.tol
 
 FULL_WINDOW = "density_window_full"
 SHORT_WINDOW = "density_window_short"
@@ -85,12 +85,6 @@ class ConditionReport:
     @property
     def checks(self) -> tuple:
         return (self.density_window_full, self.density_window_short) + self.weight_identity
-
-
-def _default_tol(is_float: bool, tol):
-    if tol is not None:
-        return tol
-    return FLOAT_TOL if is_float else 0
 
 
 def _sum_translates(p: StepFunction, a, ks, rescale: bool) -> StepFunction:
@@ -145,7 +139,7 @@ def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionRe
     """
     a = system.a
     n = system.n
-    tol = _default_tol(system.is_float, tol)
+    tol = system.density.scalars.tol if tol is None else tol
     full, short = _density_checks(a, n, system.density, tol)
     diff = system.weight_first - _weight_target(a, n, system.density)
     weight_checks = []
@@ -174,14 +168,11 @@ def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol
     Raises InfeasibleError("range", ...) when the forced alpha1 would
     leave [0,1], including where p vanishes but the target does not.
     """
-    is_float = density.is_float
-    fill = _to_backend(fill, is_float)
-    if fill < 0 or fill > 1:
-        raise ValueError("fill must lie in [0,1]")
-    marker = StepFunction.indicator(a, 1 - a, float_backend=is_float)
+    b = density.scalars
+    fill = check_fill(fill, b)
+    marker = StepFunction.indicator(a, 1 - a)
     grid = target._merged_grid(density, marker)
-    zero = _to_backend(0, is_float)
-    one = _to_backend(1, is_float)
+    zero, one = b.zero, b.one
     values = []
     for tv, pv, inside in zip(*(f._resample(grid) for f in (target, density, marker))):
         if not inside:
@@ -209,11 +200,9 @@ def solve_alpha1(a, density: StepFunction, *, fill=0, tol=None) -> EquippedSyste
     """
     if not isinstance(density, StepFunction):
         raise TypeError("density must be a step function")
-    is_float = isinstance(a, float)
-    if density.is_float != is_float:
-        raise MixedBackendError("a and density must share one backend")
+    a = density.scalars(a)
     n = derive_n(a)
-    tol = _default_tol(is_float, tol)
+    tol = density.scalars.tol if tol is None else tol
     full, short = _density_checks(a, n, density, tol)
     if not full.passed:
         raise InfeasibleError(FULL_WINDOW, full.deviation)

@@ -12,19 +12,17 @@ Words are kept in normal form: a digit 0 that would park the remainder
 exactly on the all-ones tail is not taken, which is what makes dyadic
 points at beta = 2 single-word.
 
-Exact bases give exact orbits; float bases use a small slack so that
-states grazing a threshold through rounding keep the digits the exact
-orbit would produce.
+The point and the base share one backend.  Exact bases give exact
+orbits; float bases widen each threshold by the float snap distance so that
+states grazing it through rounding keep the digits the exact orbit would
+produce.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .numerics import MixedBackendError, Scalar, Surd, exactify
-
-#: Threshold tolerance for float orbits; exact orbits use zero.
-FLOAT_SLACK = 1e-12
+from .numerics import Scalar, backend_of
 
 
 class InadmissibleChoiceError(ValueError):
@@ -81,16 +79,6 @@ class DigitSequence:
         return f"DigitSequence.from_string({str(self)!r})"
 
 
-def _typed_pair(x, beta) -> tuple:
-    """Put the point and the base on one backend (base decides)."""
-    if isinstance(beta, float):
-        if isinstance(x, Surd):
-            raise MixedBackendError("exact point with float base; convert explicitly")
-        return float(x), beta
-    beta = exactify(beta)
-    return exactify(x), beta
-
-
 def _check_beta(beta):
     if not 1 < beta <= 2:
         raise ValueError("base must lie in (1, 2]")
@@ -99,9 +87,10 @@ def _check_beta(beta):
 
 def evaluate_expansion(digits, beta) -> Scalar:
     """Value of the word: sum of digit_k / beta^k, k = 1..len."""
-    beta = _check_beta(beta if isinstance(beta, float) else exactify(beta))
+    b = backend_of(beta)
+    beta = _check_beta(b(beta))
     word = DigitSequence(digits)
-    acc = 0.0 if isinstance(beta, float) else exactify(0)
+    acc = b.zero
     for d in reversed(word.digits):
         acc = (acc + d) / beta
     return acc
@@ -119,19 +108,19 @@ def orbit_expansion(x, beta, length: int, choose=None) -> DigitSequence:
         raise ValueError("length must be nonnegative")
     if choose is not None and choose != "lazy" and not callable(choose):
         raise TypeError("choose must be None, 'lazy', or a callable")
-    x, beta = _typed_pair(x, beta)
-    _check_beta(beta)
+    b = backend_of(x, beta)
+    x, beta = b(x), _check_beta(b(beta))
     if x < 0 or x > 1:
         raise ValueError("point must lie in [0,1]")
-    is_float = isinstance(beta, float)
-    slack = FLOAT_SLACK if is_float else 0
+    is_float = b.is_float
+    below, above = b.one + b.snap, b.one - b.snap
     digits = []
     for k in range(length):
         bx = beta * x
         options = []
-        if bx <= 1 + slack:
+        if bx <= below:
             options.append(0)
-        if bx >= 1 - slack:
+        if bx >= above:
             options.append(1)
         if choose is None:
             d = options[-1]
@@ -168,13 +157,13 @@ def enumerate_expansions(x, beta, length: int, max_words: int = 4096) -> list:
         raise ValueError("enumeration length is capped at 900")
     if max_words < 1:
         raise ValueError("max_words must be positive")
-    x, beta = _typed_pair(x, beta)
-    _check_beta(beta)
+    b = backend_of(x, beta)
+    x, beta = b(x), _check_beta(b(beta))
     tail = 1 / (beta - 1)
     if x < 0 or x > tail:
         raise ValueError("point is not representable: must lie in [0, 1/(beta-1)]")
-    is_float = isinstance(beta, float)
-    slack = FLOAT_SLACK if is_float else 0
+    is_float = b.is_float
+    above = b.one - b.snap
     words: list[DigitSequence] = []
     prefix: list[int] = []
 
@@ -185,7 +174,7 @@ def enumerate_expansions(x, beta, length: int, max_words: int = 4096) -> list:
             words.append(DigitSequence(prefix))
             return
         by = beta * y
-        if by >= 1 - slack:
+        if by >= above:
             nxt = by - 1
             if is_float:
                 nxt = min(max(nxt, 0.0), tail)

@@ -22,9 +22,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numerics import Scalar, Surd, exactify
+from .numerics import EXACT, Scalar, Surd
 from .piecewise import StepFunction
-from .system import EquippedSystem
+from .system import EquippedSystem, check_fill
+
+
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ValueError("need n >= 2")
 
 
 def _family_parameter(n: int) -> Surd:
@@ -37,8 +42,8 @@ def _family_parameter(n: int) -> Surd:
 
 
 def _check_weights(beta, gamma) -> tuple:
-    beta = exactify(beta)
-    gamma = exactify(gamma)
+    beta = EXACT(beta)
+    gamma = EXACT(gamma)
     if beta < 0 or gamma < 0 or not beta + gamma > 0:
         raise ValueError("weights must be nonnegative and not both zero")
     return beta, gamma
@@ -50,11 +55,8 @@ def lebesgue_family(n: int, *, fill=0) -> EquippedSystem:
     alpha1 steps down through (n-k)/(n-1), k = 2..n-1, on the windows
     [(k-1)/n, k/n); at n = 2 every window is free and alpha1 is fill.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    fill = exactify(fill)
-    if fill < 0 or fill > 1:
-        raise ValueError("fill must lie in [0,1]")
+    _check_n(n)
+    fill = check_fill(fill, EXACT)
     a = Fraction(1, n)
     density = StepFunction.constant(1)
     bps = [Fraction(k, n) for k in range(n + 1)]
@@ -70,12 +72,9 @@ def nonconstant_family(n: int, beta, gamma, *, fill=0) -> EquippedSystem:
     alpha1 follows one formula over the beta region, one over the gamma
     region, and the ratio gamma/(beta+gamma) on the middle strip.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_n(n)
     beta, gamma = _check_weights(beta, gamma)
-    fill = exactify(fill)
-    if fill < 0 or fill > 1:
-        raise ValueError("fill must lie in [0,1]")
+    fill = check_fill(fill, EXACT)
     even = n % 2 == 0
     m = n // 2 if even else (n + 1) // 2
     a = _family_parameter(n)
@@ -116,7 +115,7 @@ def nonconstant_family(n: int, beta, gamma, *, fill=0) -> EquippedSystem:
         return high_strip(s, 2)
 
     tilde = 1 - (n - 1) * a  # right end of the first strip
-    bps = [Surd(0), a]
+    bps = [EXACT.zero, a]
     values = [fill]
     for s in range(n - 1):
         values.append(strip_value(s, second=False))
@@ -125,15 +124,14 @@ def nonconstant_family(n: int, beta, gamma, *, fill=0) -> EquippedSystem:
             values.append(strip_value(s, second=True))
             bps.append((s + 2) * a)
     values.append(fill)
-    bps.append(Surd(1))
+    bps.append(EXACT.one)
     alpha1 = StepFunction(bps, values)
     return EquippedSystem(a, density, alpha1)
 
 
 def total_mass(n: int, beta, gamma) -> Scalar:
     """Closed-form mass of the nonconstant family density."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_n(n)
     beta, gamma = _check_weights(beta, gamma)
     if n % 2 == 0:
         base = Surd(1 + n * n, -n, n * n + 1)

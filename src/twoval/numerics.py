@@ -9,16 +9,22 @@ Two backends share one algebra:
 * float -- ordinary Python floats, used for Monte Carlo work and as a
   cross-check of the exact path.
 
-The backends never mix silently.  Combining a :class:`Surd` with a float
-raises :class:`MixedBackendError`; combining two surds over distinct
-irrational radicands raises :class:`MixedRadicandError`.  Conversion is
-always explicit (``float(x)``).
+One rule puts a scalar on a backend, and :class:`Backend` is the only place
+that states it.  ``Fraction`` and :class:`Surd` are exact, floats are float,
+and ints are neutral literals that join either backend.  A bool is not a
+scalar (``TypeError``).  Exact mixed with float raises
+:class:`MixedBackendError`; two surds over distinct irrational radicands
+raise :class:`MixedRadicandError`.  Conversion is always explicit
+(``float(x)``).  Each backend also fixes its 0, its 1, the default tolerance
+of a verdict (0 exact, 1e-10 float) and its snap distance, below which two
+computed points are one (0 exact, 1e-12 float).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -204,8 +210,8 @@ class Surd:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return Surd(1) / self ** (-exponent)
-        out = Surd(1)
+            return EXACT.one / self ** (-exponent)
+        out = EXACT.one
         base = self
         e = exponent
         while e:
@@ -216,7 +222,7 @@ class Surd:
         return out
 
     def __abs__(self):
-        return -self if self._cmp(_ZERO) < 0 else self
+        return -self if self._cmp(EXACT.zero) < 0 else self
 
     # -- comparisons -----------------------------------------------------
 
@@ -265,11 +271,24 @@ class Surd:
     def __float__(self):
         if not self.q1:
             return float(self.q0)
-        # sqrt(d) as a Fraction good to 1e-20, so the (possibly cancelling)
-        # sum is formed exactly and rounded once at the end
-        scale = 10**20
-        root = Fraction(math.isqrt(self.d * scale * scale), scale)
-        return float(self.q0 + self.q1 * root)
+        # self = (a + c*sqrt(d))/den in integers.  r = isqrt(d*4^k) puts
+        # sqrt(d) strictly between r/2^k and (r+1)/2^k, so self lies strictly
+        # between lo/(den*2^k) and (lo+c)/(den*2^k).  Rounding is monotone:
+        # once both bounds round to one double, self does too.  a*a - c*c*d is
+        # a nonzero integer, so |a + c*sqrt(d)| >= 1/(|a| + |c|*sqrt(d)) and
+        # the first k usually suffices even under cancellation; self is
+        # irrational, so doubling k ends.
+        q0, q1, d = self.q0, self.q1, self.d
+        a = q0.numerator * q1.denominator
+        c = q1.numerator * q0.denominator
+        den = q0.denominator * q1.denominator
+        k = 64 + c.bit_length() + max(a.bit_length(), c.bit_length() + d.bit_length())
+        while True:
+            lo = (a << k) + c * math.isqrt(d << (2 * k))
+            x = lo / (den << k)
+            if x == (lo + c) / (den << k):
+                return x
+            k *= 2
 
     @property
     def is_rational(self) -> bool:
@@ -289,9 +308,6 @@ class Surd:
         return f"Surd({str(self.q0)!r}, {str(self.q1)!r}, {self.d})"
 
 
-_ZERO = Surd(0)
-
-
 def sqrt_scalar(v: _RationalLike) -> Surd:
     """Exact square root of a nonnegative rational, as a surd.
 
@@ -308,18 +324,48 @@ def sqrt_scalar(v: _RationalLike) -> Surd:
 Scalar = Union[Surd, float]
 
 
-def is_exact(x: Scalar) -> bool:
-    """True for exact-backend scalars (surds, ints, Fractions)."""
-    return isinstance(x, (Surd, int, Fraction)) and not isinstance(x, bool)
+@dataclass(frozen=True)
+class Backend:
+    """One scalar backend: its 0 and 1, its tolerances, and the coercion rule.
+
+    ``tol`` is the default sup-deviation a verdict forgives and ``snap`` the
+    distance below which two computed points are one.  Calling a backend
+    puts a scalar on it.
+    """
+
+    is_float: bool
+    zero: Scalar
+    one: Scalar
+    tol: Scalar
+    snap: Scalar
+
+    def __call__(self, x) -> Scalar:
+        if isinstance(x, bool):
+            raise TypeError("bool is not a scalar")
+        if self.is_float:
+            if isinstance(x, (Surd, Fraction)):
+                raise MixedBackendError("exact scalar used on the float backend; convert explicitly")
+            return float(x)
+        if isinstance(x, float):
+            raise MixedBackendError("float used on the exact backend; convert explicitly")
+        return x if isinstance(x, Surd) else Surd(x)
 
 
-def exactify(x) -> Surd:
-    """Coerce an int/Fraction/Surd to a Surd; floats are rejected."""
-    if isinstance(x, Surd):
-        return x
-    if isinstance(x, float):
-        raise MixedBackendError("float cannot be lifted to the exact backend")
-    return Surd(x)
+EXACT = Backend(False, Surd(0), Surd(1), tol=Surd(0), snap=Surd(0))
+FLOAT = Backend(True, 0.0, 1.0, tol=1e-10, snap=1e-12)
+
+
+def backend_of(*xs) -> Backend:
+    """The backend the typed scalars among ``xs`` share; exact when all are ints."""
+    has_float = has_exact = False
+    for x in xs:
+        if isinstance(x, float):
+            has_float = True
+        elif isinstance(x, (Surd, Fraction)):
+            has_exact = True
+    if has_float and has_exact:
+        raise MixedBackendError("cannot mix exact and float scalars; convert explicitly")
+    return FLOAT if has_float else EXACT
 
 
 _FLOAT_MARK = re.compile(r"[.eE]")
@@ -345,7 +391,7 @@ def parse_scalar(text: str) -> Scalar:
         if not math.isfinite(v):
             raise ParseError(f"non-finite scalar {text!r}")
         return v
-    total = Surd(0)
+    total = EXACT.zero
     pos = 0
     try:
         for m in _TERM_SPLIT.finditer(s):
@@ -378,7 +424,7 @@ def format_scalar(x: Scalar) -> str:
     """Canonical text form; ``parse_scalar`` round-trips it bit-exactly."""
     if isinstance(x, float):
         return repr(x)
-    x = exactify(x)
+    x = EXACT(x)
     if not x.q1:
         return str(x.q0)
     if not x.q0:
@@ -388,75 +434,29 @@ def format_scalar(x: Scalar) -> str:
     return f"{x.q0} + {x.q1}*sqrt({x.d})"
 
 
-def _pair_backend(lo, hi) -> tuple[Scalar, Scalar]:
-    lo_f = isinstance(lo, float)
-    hi_f = isinstance(hi, float)
-    if lo_f or hi_f:
-        if (not lo_f and isinstance(lo, Surd)) or (not hi_f and isinstance(hi, Surd)):
-            raise MixedBackendError("interval endpoints mix exact and float scalars")
-        return float(lo), float(hi)
-    return exactify(lo), exactify(hi)
-
-
 class Interval:
-    """Subinterval of [0,1] with scalar endpoints, half-open by default.
+    """The pair (lo, hi) of scalar endpoints on one backend, with lo <= hi."""
 
-    ``closed_right`` is bookkeeping for display; all integration and
-    comparison semantics in this package are almost-everywhere, so a
-    single endpoint never carries weight.
-    """
+    __slots__ = ("lo", "hi")
 
-    __slots__ = ("lo", "hi", "closed_right")
-
-    def __init__(self, lo, hi, closed_right: bool = False):
-        lo, hi = _pair_backend(lo, hi)
+    def __init__(self, lo, hi):
+        b = backend_of(lo, hi)
+        lo, hi = b(lo), b(hi)
         if hi < lo:
             raise ValueError(f"empty interval: [{lo}, {hi})")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "closed_right", bool(closed_right))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Interval is immutable")
 
-    @property
-    def length(self) -> Scalar:
-        return self.hi - self.lo
-
-    @property
-    def is_null(self) -> bool:
-        """True when the interval carries no measure."""
-        return self.lo == self.hi
-
-    def contains(self, x) -> bool:
-        if self.closed_right:
-            return self.lo <= x <= self.hi
-        return self.lo <= x < self.hi
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo = self.lo if self.lo >= other.lo else other.lo
-        if self.hi < other.hi:
-            hi, closed = self.hi, self.closed_right
-        elif other.hi < self.hi:
-            hi, closed = other.hi, other.closed_right
-        else:
-            hi, closed = self.hi, self.closed_right and other.closed_right
-        if hi < lo:
-            return None
-        return Interval(lo, hi, closed)
-
     def __eq__(self, other):
         if not isinstance(other, Interval):
             return NotImplemented
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.closed_right == other.closed_right
-        )
+        return self.lo == other.lo and self.hi == other.hi
 
     def __hash__(self):
-        return hash((self.lo, self.hi, self.closed_right))
+        return hash((self.lo, self.hi))
 
     def __repr__(self):
-        right = "]" if self.closed_right else ")"
-        return f"[{format_scalar(self.lo)}, {format_scalar(self.hi)}{right}"
+        return f"[{format_scalar(self.lo)}, {format_scalar(self.hi)})"

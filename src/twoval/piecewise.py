@@ -24,16 +24,10 @@ from .numerics import (
     ParseError,
     Scalar,
     Surd,
-    exactify,
+    backend_of,
     format_scalar,
     parse_scalar,
 )
-
-#: Breakpoints closer than this are fused when float grids are merged.
-#: Affine images of the same exact point computed along different float
-#: paths land on nearly-equal doubles; fusing kills the sliver pieces that
-#: would otherwise show up as spurious deviations.
-FLOAT_SNAP = 1e-12
 
 
 class NonpositiveSlopeError(ValueError):
@@ -44,45 +38,30 @@ class ZeroMassError(ValueError):
     """A function with zero total mass cannot be normalized or sampled."""
 
 
-def _to_backend(x, want_float: bool):
-    """Coerce one scalar onto a backend; typed scalars must already match.
-
-    ints are neutral literals and coerce either way.  Fractions and Surds
-    are exact-typed; floats are float-typed.
-    """
-    if isinstance(x, bool):
-        raise TypeError("bool is not a scalar")
-    if want_float:
-        if isinstance(x, (Surd, Fraction)):
-            raise MixedBackendError("exact scalar used with a float-backend function")
-        return float(x)
-    return exactify(x)
-
-
 class StepFunction:
-    """Piecewise-constant function on [0,1] with left-closed pieces."""
+    """Piecewise-constant function on [0,1] with left-closed pieces.
 
-    __slots__ = ("breakpoints", "values", "is_float", "radicand")
+    ``scalars`` is the :class:`~twoval.numerics.Backend` every breakpoint and
+    value lives on.
+    """
+
+    __slots__ = ("breakpoints", "values", "scalars", "radicand")
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
         bps = list(breakpoints)
         vals = list(values)
         if len(bps) != len(vals) + 1 or not vals:
             raise ValueError("need N+1 breakpoints for N >= 1 values")
-        scalars = bps + vals
-        has_float = any(isinstance(x, float) for x in scalars)
-        has_exact = any(isinstance(x, (Surd, Fraction)) for x in scalars)
-        if has_float and has_exact:
-            raise MixedBackendError("breakpoints/values mix exact and float scalars")
-        bps = [_to_backend(x, has_float) for x in bps]
-        vals = [_to_backend(x, has_float) for x in vals]
-        if bps[0] != (0.0 if has_float else 0) or bps[-1] != (1.0 if has_float else 1):
+        scalars = backend_of(*bps, *vals)
+        bps = [scalars(x) for x in bps]
+        vals = [scalars(x) for x in vals]
+        if bps[0] != scalars.zero or bps[-1] != scalars.one:
             raise ValueError("breakpoints must run from 0 to 1")
         for lo, hi in zip(bps, bps[1:]):
             if not lo < hi:
                 raise ValueError("breakpoints must be strictly increasing")
         radicand = 1
-        if not has_float:
+        if not scalars.is_float:
             ds = {x.d for x in bps + vals if x.d != 1}
             if len(ds) > 1:
                 raise MixedRadicandError(f"one function cannot span radicands {sorted(ds)}")
@@ -98,7 +77,7 @@ class StepFunction:
             m_vals.append(v)
         object.__setattr__(self, "breakpoints", tuple(m_bps))
         object.__setattr__(self, "values", tuple(m_vals))
-        object.__setattr__(self, "is_float", has_float)
+        object.__setattr__(self, "scalars", scalars)
         object.__setattr__(self, "radicand", radicand)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -108,18 +87,16 @@ class StepFunction:
 
     @classmethod
     def constant(cls, value) -> "StepFunction":
-        return cls([0.0, 1.0] if isinstance(value, float) else [0, 1], [value])
+        b = backend_of(value)
+        return cls([b.zero, b.one], [value])
 
     @classmethod
-    def indicator(cls, lo, hi, *, float_backend: bool = False) -> "StepFunction":
-        """Characteristic function of [lo, hi) inside [0,1]."""
-        want_float = float_backend or isinstance(lo, float) or isinstance(hi, float)
-        lo = _to_backend(lo, want_float)
-        hi = _to_backend(hi, want_float)
-        zero = _to_backend(0, want_float)
-        one = _to_backend(1, want_float)
-        lo = max(zero, min(one, lo))
-        hi = max(zero, min(one, hi))
+    def indicator(cls, lo, hi) -> "StepFunction":
+        """Characteristic function of [lo, hi) inside [0,1], on the endpoints' backend."""
+        b = backend_of(lo, hi)
+        zero, one = b.zero, b.one
+        lo = max(zero, min(one, b(lo)))
+        hi = max(zero, min(one, b(hi)))
         if not lo < hi:
             return cls([zero, one], [zero])
         bps = [zero]
@@ -134,8 +111,9 @@ class StepFunction:
         bps.append(one)
         return cls(bps, vals)
 
-    def _scalar(self, x):
-        return _to_backend(x, self.is_float)
+    @property
+    def is_float(self) -> bool:
+        return self.scalars.is_float
 
     @property
     def backend(self) -> str:
@@ -144,18 +122,15 @@ class StepFunction:
     # -- inspection ------------------------------------------------------
 
     def __call__(self, x) -> Scalar:
-        zero = self._scalar(0)
-        one = self._scalar(1)
-        xx = self._scalar(x) if isinstance(x, (int, Fraction)) else x
-        if xx < zero or xx > one:
+        xx = self.scalars(x)
+        if xx < self.scalars.zero or xx > self.scalars.one:
             raise ValueError(f"{x!r} is outside [0,1]")
         idx = bisect_right(self.breakpoints, xx) - 1
         return self.values[min(idx, len(self.values) - 1)]
 
     def pieces(self) -> Iterator[tuple[Interval, Scalar]]:
-        last = len(self.values) - 1
         for i, v in enumerate(self.values):
-            yield Interval(self.breakpoints[i], self.breakpoints[i + 1], i == last), v
+            yield Interval(self.breakpoints[i], self.breakpoints[i + 1]), v
 
     @property
     def min_value(self) -> Scalar:
@@ -166,7 +141,7 @@ class StepFunction:
         return max(self.values)
 
     def is_nonnegative(self) -> bool:
-        return not self.min_value < self._scalar(0)
+        return not self.min_value < self.scalars.zero
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
@@ -191,12 +166,16 @@ class StepFunction:
         pts = sorted(set(self.breakpoints).union(*(o.breakpoints for o in others)))
         if not self.is_float:
             return pts
+        # Affine images of one exact point computed along different float
+        # paths land on nearly equal doubles; fusing them kills the sliver
+        # pieces that would otherwise show up as spurious deviations.
+        snap = self.scalars.snap
         grid = [0.0]
         for t in pts[1:]:
-            if t - grid[-1] > FLOAT_SNAP:
+            if t - grid[-1] > snap:
                 grid.append(t)
         if grid[-1] != 1.0:
-            if 1.0 - grid[-1] <= FLOAT_SNAP:
+            if 1.0 - grid[-1] <= snap:
                 grid[-1] = 1.0
             else:
                 grid.append(1.0)
@@ -230,7 +209,7 @@ class StepFunction:
             grid = self._merged_grid(other)
             vals = [op(a, b) for a, b in zip(self._resample(grid), other._resample(grid))]
             return StepFunction(grid, vals)
-        s = self._scalar(other)
+        s = self.scalars(other)
         return StepFunction(self.breakpoints, [op(v, s) for v in self.values])
 
     # -- algebra ---------------------------------------------------------
@@ -266,14 +245,12 @@ class StepFunction:
     def __truediv__(self, other):
         if isinstance(other, StepFunction):
             return NotImplemented
-        s = self._scalar(other)
+        s = self.scalars(other)
         return StepFunction(self.breakpoints, [v / s for v in self.values])
 
     def mask(self, lo, hi) -> "StepFunction":
         """Zero the function outside [lo, hi)."""
-        return self * StepFunction.indicator(
-            self._scalar(lo), self._scalar(hi), float_backend=self.is_float
-        )
+        return self * StepFunction.indicator(self.scalars(lo), self.scalars(hi))
 
     def compose_affine(self, c, b) -> "StepFunction":
         """The function x -> f(c*x + b), extended by zero where c*x + b leaves [0,1].
@@ -281,10 +258,9 @@ class StepFunction:
         Requires c > 0.  Every transfer-operator and window computation in
         this package is an algebra of these reparametrizations.
         """
-        c = self._scalar(c)
-        b = self._scalar(b)
-        zero = self._scalar(0)
-        one = self._scalar(1)
+        c = self.scalars(c)
+        b = self.scalars(b)
+        zero, one = self.scalars.zero, self.scalars.one
         if not c > zero:
             raise NonpositiveSlopeError(f"slope must be positive, got {format_scalar(c)}")
         cut = [zero]
@@ -320,9 +296,9 @@ class StepFunction:
 
     def integrate(self, lo=None, hi=None) -> Scalar:
         """Integral over [lo, hi] (defaults: all of [0,1])."""
-        zero = self._scalar(0)
-        lo = zero if lo is None else self._scalar(lo)
-        hi = self._scalar(1) if hi is None else self._scalar(hi)
+        zero = self.scalars.zero
+        lo = zero if lo is None else self.scalars(lo)
+        hi = self.scalars.one if hi is None else self.scalars(hi)
         total = zero
         for t0, t1, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
             a = t0 if t0 > lo else lo
@@ -344,11 +320,11 @@ class StepFunction:
 
     def equal_ae(self, other: "StepFunction") -> bool:
         """Exact almost-everywhere equality (zero deviation)."""
-        return self.deviation(other) == self._scalar(0)
+        return self.deviation(other) == self.scalars.zero
 
     def normalized(self) -> "StepFunction":
         m = self.integrate()
-        if m == self._scalar(0):
+        if m == self.scalars.zero:
             raise ZeroMassError("total mass is zero")
         return self / m
 

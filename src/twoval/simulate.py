@@ -176,24 +176,22 @@ def one_step_stationarity_test(
     the sqrt(bins/n_samples) noise floor exactly when the density is
     invariant and saturates at the true displacement otherwise.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    fs = system if system.is_float else as_float_system(system)
-    rng = _rng(seed, stream)
-    x = _sample_with_rng(fs.density, n_samples, rng)
-    coins = rng.random(n_samples)
-    y = _advance(x, fs, coins)
-    pre = histogram_report(x, fs.density, bins)
-    post = histogram_report(y, fs.density, bins)
+    chain = run_chain(system, n_samples, 1, seed, bins=bins, stream=stream)
+    pre, post = chain.initial, chain.final
     l1_pre_post = float(np.abs(pre.bin_masses - post.bin_masses).sum())
     return OneStepReport(pre=pre, post=post, l1_pre_post=l1_pre_post, n_samples=n_samples, seed=seed)
 
 
 @dataclass(frozen=True, eq=False)
 class ChainReport:
-    """Distance to the reference density along an iterated chain."""
+    """Distance to the reference density along an iterated chain.
+
+    ``initial`` holds the starting points against the density, ``final``
+    the points after the last step (the same report when no step is taken).
+    """
 
     step_distances: list[float]
+    initial: HistogramReport
     final: HistogramReport
     final_values: np.ndarray
     n_samples: int
@@ -228,14 +226,14 @@ def run_chain(
         raise ValueError("n_steps must be nonnegative")
     if initial not in ("density", "uniform"):
         raise ValueError("initial must be 'density' or 'uniform'")
-    fs = system if system.is_float else as_float_system(system)
+    fs = as_float_system(system)
     rng = _rng(seed, stream)
     if initial == "density":
         x = _sample_with_rng(fs.density, n_samples, rng)
     else:
         x = rng.random(n_samples)
     distances = []
-    report = histogram_report(x, fs.density, bins)
+    start = report = histogram_report(x, fs.density, bins)
     for _ in range(n_steps):
         coins = rng.random(n_samples)
         x = _advance(x, fs, coins)
@@ -243,6 +241,7 @@ def run_chain(
         distances.append(report.l1_distance_to_reference)
     return ChainReport(
         step_distances=distances,
+        initial=start,
         final=report,
         final_values=x,
         n_samples=n_samples,

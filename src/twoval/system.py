@@ -14,24 +14,18 @@ preimages directly, so the two agree only if both are right.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from fractions import Fraction
 
 from .numerics import (
+    Backend,
     Interval,
     MixedBackendError,
     ParseError,
     Scalar,
-    exactify,
     format_scalar,
     parse_scalar,
 )
 from .piecewise import StepFunction, step_from_json_dict, step_to_json_dict
-
-
-class BranchChoice(Enum):
-    FIRST = 1
-    SECOND = 2
 
 
 def derive_n(a) -> int:
@@ -44,14 +38,12 @@ def derive_n(a) -> int:
     return n
 
 
-def apply_branch(a, branch: BranchChoice, x) -> Scalar:
-    """One step of the chosen branch map at x."""
-    if x < 0 or x > 1:
-        raise ValueError(f"{x!r} is outside [0,1]")
-    cut = (1 - a) if branch is BranchChoice.FIRST else a
-    if x < cut:
-        return x / (1 - a)
-    return (x - a) / (1 - a)
+def check_fill(fill, scalars: Backend) -> Scalar:
+    """The alpha1 value for where it is unconstrained, on the backend and in [0,1]."""
+    fill = scalars(fill)
+    if fill < scalars.zero or fill > scalars.one:
+        raise ValueError("fill must lie in [0,1]")
+    return fill
 
 
 class EquippedSystem:
@@ -67,10 +59,8 @@ class EquippedSystem:
     def __init__(self, a, density: StepFunction, alpha1: StepFunction):
         if not isinstance(density, StepFunction) or not isinstance(alpha1, StepFunction):
             raise TypeError("density and alpha1 must be step functions")
-        is_float = isinstance(a, float)
-        if not is_float:
-            a = exactify(a)
-        if density.is_float != is_float or alpha1.is_float != is_float:
+        a = density.scalars(a)
+        if alpha1.is_float != density.is_float:
             raise MixedBackendError("a, density and alpha1 must share one backend")
         if not 0 < a or Fraction(1, 2) < a:
             raise ValueError(f"parameter must lie in (0, 1/2], got {format_scalar(a)}")
@@ -106,9 +96,6 @@ class EquippedSystem:
     def weight_second(self) -> StepFunction:
         """A2 = (1 - alpha1) * p."""
         return self.density - self.weight_first
-
-    def apply(self, branch: BranchChoice, x) -> Scalar:
-        return apply_branch(self.a, branch, x)
 
     def __eq__(self, other):
         if not isinstance(other, EquippedSystem):

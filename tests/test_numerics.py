@@ -13,8 +13,8 @@ from twoval.numerics import (
     MixedBackendError,
     MixedRadicandError,
     ParseError,
+    EXACT,
     Surd,
-    exactify,
     format_scalar,
     parse_scalar,
     sqrt_scalar,
@@ -175,7 +175,7 @@ class TestComparisonOracle:
         sympy = pytest.importorskip("sympy")
 
         def sym(x):
-            x = exactify(x)
+            x = EXACT(x)
             q0, q1 = (sympy.Rational(q.numerator, q.denominator) for q in (x.q0, x.q1))
             return q0 + q1 * sympy.sqrt(x.d)
 
@@ -195,6 +195,46 @@ class TestComparisonOracle:
             assert (x == y) == (diff == 0), (x, y)
         for x in pool:
             assert sympy.expand(sym(abs(x)) - sympy.Abs(sym(x))) == 0, x
+
+
+def _pell(x: int, y: int, d: int, steps: int) -> list:
+    """Surds x - y*sqrt(d) for successive Pell solutions: each is +-1/(x + y*sqrt(d))."""
+    out = []
+    x1, y1 = x, y
+    for _ in range(steps):
+        out.append(Surd(x, -y, d))
+        x, y = x * x1 + d * y * y1, x * y1 + y * x1
+    return out
+
+
+class TestFloatOracle:
+    """float(Surd) is the double nearest the true value (sympy, 60 digits)."""
+
+    def test_correctly_rounded(self):
+        sympy = pytest.importorskip("sympy")
+
+        def nearest(x):
+            q0, q1 = (sympy.Rational(q.numerator, q.denominator) for q in (x.q0, x.q1))
+            return float(Fraction(str(sympy.N(q0 + q1 * sympy.sqrt(x.d), 60))))
+
+        rng = random.Random(2026)
+        cases = [Surd(-math.isqrt(2 * 10**36), 10**18, 2)]
+        for digits in (1, 6, 20, 40):
+            top = 10**digits
+            for d in (2, 3, 5, 10, 1_000_003):
+                for _ in range(6):
+                    q0 = Fraction(rng.randint(-top, top), rng.randint(1, top))
+                    q1 = Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, top))
+                    cases.append(Surd(q0, q1, d))
+        # cancelling pairs: truncated roots and Pell solutions land near 0
+        for d in (2, 3, 5, 7, 13):
+            for m in (9, 18, 30, 60):
+                cases.append(Surd(-math.isqrt(d * 10 ** (2 * m)), 10**m, d))
+        cases += _pell(3, 2, 2, 40) + _pell(2, 1, 3, 30) + _pell(9, 4, 5, 30)
+        cases += [-x for x in cases[-20:]] + [x / 7 for x in cases[-20:]]
+        for x in cases:
+            assert float(x) == nearest(x), x
+        assert abs(float(cases[0]) - 0.80169) < 1e-5
 
 
 class TestFamilyRoots:
@@ -264,32 +304,24 @@ class TestParsing:
 
 
 class TestInterval:
-    def test_length_and_membership(self):
-        iv = Interval(Fraction(1, 4), Fraction(3, 4))
-        assert iv.length == Fraction(1, 2)
-        assert iv.contains(Fraction(1, 4))
-        assert not iv.contains(Fraction(3, 4))
-        assert Interval(0, 1, closed_right=True).contains(1)
-
-    def test_null_interval(self):
-        iv = Interval(Fraction(1, 2), Fraction(1, 2))
-        assert iv.is_null and not iv.contains(Fraction(1, 2))
+    def test_exact_endpoints(self):
+        iv = Interval(0, Fraction(3, 4))
+        assert isinstance(iv.lo, Surd) and isinstance(iv.hi, Surd)
+        assert (iv.lo, iv.hi) == (0, Fraction(3, 4))
+        assert iv == Interval(Surd(0), Surd(Fraction(3, 4)))
+        assert iv != Interval(0, 1)
+        assert repr(iv) == "[0, 3/4)"
+        assert Interval(Fraction(1, 2), Fraction(1, 2)).lo == Fraction(1, 2)
 
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValueError):
             Interval(Fraction(3, 4), Fraction(1, 4))
-
-    def test_intersection(self):
-        a = Interval(0, Fraction(1, 2))
-        b = Interval(Fraction(1, 4), 1, closed_right=True)
-        got = a.intersect(b)
-        assert got == Interval(Fraction(1, 4), Fraction(1, 2))
-        assert Interval(0, Fraction(1, 4)).intersect(Interval(Fraction(1, 2), 1)) is None
 
     def test_mixed_backend_rejected(self):
         with pytest.raises(MixedBackendError):
             Interval(0.25, Surd(Fraction(3, 4)))
 
     def test_float_backend(self):
-        iv = Interval(0.25, 0.75)
-        assert iv.length == 0.5 and iv.contains(0.5)
+        iv = Interval(0, 0.75)
+        assert (iv.lo, iv.hi) == (0.0, 0.75) and isinstance(iv.lo, float)
+        assert repr(iv) == "[0.0, 0.75)"

@@ -90,7 +90,7 @@ class TestEvaluation:
     def test_pieces_iteration(self):
         f = StepFunction([0, H, 1], [2, 5])
         ivs = list(f.pieces())
-        assert [(iv.lo, iv.hi, iv.closed_right) for iv, _ in ivs] == [(0, H, False), (H, 1, True)]
+        assert [(iv.lo, iv.hi) for iv, _ in ivs] == [(0, H), (H, 1)]
         assert [v for _, v in ivs] == [2, 5]
 
     def test_extrema(self):

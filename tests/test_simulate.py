@@ -181,6 +181,18 @@ class TestRunChain:
         rep = run_chain(golden_system(), 10_000, 0, seed=43)
         assert rep.step_distances == []
         assert isinstance(rep.final, HistogramReport)
+        # zero steps is a plain draw from the density, stream for stream
+        drawn = sample_from_density(as_float_system(golden_system()).density, 10_000, seed=43)
+        assert np.array_equal(rep.final_values, drawn.values)
+        assert rep.initial is rep.final
+
+    def test_initial_is_the_step_zero_histogram(self):
+        fs = as_float_system(golden_system())
+        rep = run_chain(fs, 10_000, 3, seed=44, bins=40, stream=2)
+        start = sample_from_density(fs.density, 10_000, seed=44, stream=2).values
+        want = histogram_report(start, fs.density, bins=40)
+        assert np.array_equal(rep.initial.bin_masses, want.bin_masses)
+        assert rep.initial.ks_statistic == want.ks_statistic
 
     def test_half_parameter_short_chain_smoke(self):
         sys = EquippedSystem(0.5, StepFunction.constant(1.0), StepFunction.constant(0.3))

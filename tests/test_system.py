@@ -3,15 +3,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import make_exact_system, make_float_system
 from twoval.numerics import Interval, MixedBackendError, ParseError, Surd
 from twoval.piecewise import StepFunction
+from twoval.simulate import _advance
 from twoval.system import (
-    BranchChoice,
     EquippedSystem,
-    apply_branch,
     derive_n,
     pushforward_density,
     pushforward_measure,
@@ -60,33 +60,38 @@ class TestDeriveN:
             derive_n(a)
 
 
+def branch_step(a, first: bool, xs) -> np.ndarray:
+    """One step of the first (alpha1 = 1) or second (alpha1 = 0) map, coins all zero."""
+    p = StepFunction.constant(1)
+    system = EquippedSystem(a, p, StepFunction.constant(1 if first else 0))
+    xs = np.array([float(x) for x in xs])
+    return _advance(xs, system, np.zeros(len(xs)))
+
+
 class TestBranchMaps:
     def test_first_map_pieces(self):
         a = Fraction(2, 5)
         w = Fraction(3, 5)
         # below the cut 1-a: x/(1-a); above: (x-a)/(1-a)
-        assert apply_branch(a, BranchChoice.FIRST, Fraction(3, 10)) == Fraction(1, 2)
-        assert apply_branch(a, BranchChoice.FIRST, w) == Fraction(1, 3)
-        assert apply_branch(a, BranchChoice.FIRST, 1) == 1
+        got = branch_step(a, True, [Fraction(3, 10), w, 1])
+        assert got == pytest.approx([1 / 2, 1 / 3, 1], rel=0, abs=1e-15)
 
     def test_second_map_pieces(self):
         a = Fraction(2, 5)
-        assert apply_branch(a, BranchChoice.SECOND, Fraction(3, 10)) == Fraction(3, 10) / Fraction(3, 5)
-        assert apply_branch(a, BranchChoice.SECOND, a) == 0
-        assert apply_branch(a, BranchChoice.SECOND, 1) == 1
+        got = branch_step(a, False, [Fraction(3, 10), a, 1])
+        assert got == pytest.approx([0.3 / 0.6, 0, 1], rel=0, abs=1e-15)
 
     def test_maps_stay_in_unit_interval(self):
         rng = random.Random(3)
         for _ in range(200):
             a = Fraction(rng.randint(1, 20), 40)
-            x = Fraction(rng.randint(0, 97), 97)
-            for br in BranchChoice:
-                y = apply_branch(a, br, x)
-                assert 0 <= y <= 1
-
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            apply_branch(Fraction(1, 3), BranchChoice.FIRST, Fraction(5, 4))
+            xs = [Fraction(rng.randint(0, 97), 97) for _ in range(5)]
+            for first in (True, False):
+                cut = 1 - a if first else a
+                want = [x / (1 - a) if x < cut else (x - a) / (1 - a) for x in xs]
+                assert all(0 <= y <= 1 for y in want)
+                got = branch_step(a, first, xs)
+                assert got == pytest.approx([float(y) for y in want], rel=1e-15, abs=1e-15)
 
 
 class TestEquippedSystem:
@@ -163,7 +168,7 @@ class TestPushforwardMeasure:
 
     def test_full_interval_gives_total_mass(self):
         s = make_exact_system(random.Random(41))
-        assert pushforward_measure(s, Interval(0, 1, closed_right=True)) == s.density.integrate()
+        assert pushforward_measure(s, Interval(0, 1)) == s.density.integrate()
 
     def test_interval_must_be_inside_domain(self):
         s = golden_system()
