@@ -32,7 +32,6 @@ from .expansion import (
 from .families import (
     lebesgue_family,
     nonconstant_family,
-    normalize,
     renyi_density,
     renyi_system,
     renyi_transfer,
@@ -79,7 +78,7 @@ from .system import (
     system_to_json,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
@@ -113,7 +112,6 @@ __all__ = [
     "invariance_defect",
     "lebesgue_family",
     "nonconstant_family",
-    "normalize",
     "one_step_stationarity_test",
     "orbit_expansion",
     "parse_scalar",

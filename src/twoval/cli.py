@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .criterion import InfeasibleError, check_invariance_conditions, solve_alpha1
 from .expansion import (
@@ -59,6 +60,17 @@ def _scalar_or_float(raw):
     return float(raw)
 
 
+def _parse_tol(text, is_float: bool):
+    """``--tol`` read exactly, so nan and inf are rejected; a float on float systems."""
+    if text is None:
+        return None
+    try:
+        tol = Fraction(text)
+        return float(tol) if is_float else tol
+    except (ValueError, OverflowError):
+        raise ValueError(f"--tol needs a finite number, got {text!r}") from None
+
+
 def cmd_family(args) -> int:
     if args.kind == "renyi":
         system = renyi_system()
@@ -81,7 +93,7 @@ def cmd_family(args) -> int:
 
 def cmd_check(args) -> int:
     system = _load_system(args.system)
-    report = check_invariance_conditions(system, tol=args.tol)
+    report = check_invariance_conditions(system, tol=_parse_tol(args.tol, system.is_float))
     for c in report.checks:
         status = "VACUOUS" if c.vacuous else ("PASS" if c.passed else "FAIL")
         print(f"{c.name}: {status} (deviation {format_scalar(c.deviation)})")
@@ -101,7 +113,8 @@ def cmd_solve_alpha(args) -> int:
         density = step_from_json_dict(d["p"])
     except KeyError as exc:
         raise ParseError(f"missing key {exc} in {args.input}") from exc
-    system = solve_alpha1(a, density, fill=parse_scalar(args.fill), tol=args.tol)
+    tol = _parse_tol(args.tol, density.is_float)
+    system = solve_alpha1(a, density, fill=parse_scalar(args.fill), tol=tol)
     _emit(system_to_json(system), args.output)
     return 0
 
@@ -181,13 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="test the invariance conditions of a system")
     p.add_argument("system", help="system JSON file")
-    p.add_argument("--tol", type=float, default=None, help="deviation tolerance (default: 0 exact, 1e-10 float)")
+    p.add_argument("--tol", default=None, help="deviation tolerance (default: 0 exact, 1e-10 float)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve-alpha", help="solve for branch weights that fix a density")
     p.add_argument("input", help="JSON file with keys 'a' and 'p'")
     p.add_argument("--fill", default="0", help="weight value where it is unconstrained")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", default=None)
     p.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=cmd_solve_alpha)
 

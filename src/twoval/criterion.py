@@ -27,7 +27,8 @@ serves every window of a family:
   restriction of the one sum over k = -(n-1)..0 and k = -(n-1)..-1.
 
 The criterion therefore composes 4n translates of p, not a number that
-grows as n^2.
+grows as n^2, and builds each family's function in one walk over the
+translates' merged grid.
 
 :func:`solve_alpha1` inverts the weight identity: given (a, p) it checks
 the two density identities, reads A1 off the windows, and divides by p.
@@ -37,9 +38,11 @@ Infeasibility is reported with the violated identity and its deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
-from .numerics import FLOAT, Interval, Scalar, format_scalar
-from .piecewise import StepFunction
+from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar
+from .piecewise import StepFunction, combine
 from .system import EquippedSystem, check_fill, derive_n, pushforward_density
 
 FLOAT_TOL = FLOAT.tol
@@ -87,17 +90,22 @@ class ConditionReport:
         return (self.density_window_full, self.density_window_short) + self.weight_identity
 
 
-def _sum_translates(p: StepFunction, a, ks, rescale: bool) -> StepFunction:
-    """Sum of p(x + ka), or of p((x + ka)/(1-a)) when rescaled."""
+def _translate_identity(p: StepFunction, a, plus_ks, minus_ks) -> StepFunction:
+    """The sum of p(x + ka) over plus_ks, minus 1/(1-a) times the sum of
+    p((x + ka)/(1-a)) over minus_ks, built in one walk over their grid."""
     w = 1 - a
-    total = None
-    for k in ks:
-        if rescale:
-            term = p.compose_affine(1 / w, k * a / w)
-        else:
-            term = p.compose_affine(1, k * a)
-        total = term if total is None else total + term
-    return total
+    plus = [p.compose_affine(1, k * a) for k in plus_ks]
+    minus = [p.compose_affine(1 / w, k * a / w) for k in minus_ks]
+    split = len(plus)
+    return combine(lambda *vs: reduce(add, vs[:split]) - reduce(add, vs[split:]) / w, *plus, *minus)
+
+
+def _tolerance(scalars: Backend, tol) -> Scalar:
+    """The verdict tolerance on the backend, its default when omitted."""
+    tol = scalars.tol if tol is None else scalars(tol)
+    if not tol >= scalars.zero:
+        raise ValueError(f"tolerance must be >= 0, got {format_scalar(tol)}")
+    return tol
 
 
 def _window_check(name: str, diff: StepFunction, lo, hi, tol) -> ConditionCheck:
@@ -109,9 +117,8 @@ def _window_check(name: str, diff: StepFunction, lo, hi, tol) -> ConditionCheck:
 
 
 def _density_checks(a, n: int, density: StepFunction, tol) -> tuple[ConditionCheck, ConditionCheck]:
-    lhs = _sum_translates(density, a, range(-1, n), rescale=False)
-    rhs = _sum_translates(density, a, range(-1, n - 1), rescale=True)
-    diff = lhs - rhs / (1 - a)  # the short identity is this one on its window
+    # the short identity is this one on its window
+    diff = _translate_identity(density, a, range(-1, n), range(-1, n - 1))
     split = 1 - (n - 1) * a  # the two windows meet here
     full = _window_check(FULL_WINDOW, diff, a, split, tol)
     short = _window_check(SHORT_WINDOW, diff, split, 2 * a, tol)
@@ -126,20 +133,19 @@ def _weight_window(a, n: int, m: int) -> tuple:
 
 def _weight_target(a, n: int, density: StepFunction) -> StepFunction:
     """One function whose restriction to every J_m is what A1 is pinned to there."""
-    plus = _sum_translates(density, a, range(1 - n, 1), rescale=False)
-    minus = _sum_translates(density, a, range(1 - n, 0), rescale=True)
-    return plus - minus / (1 - a)
+    return _translate_identity(density, a, range(1 - n, 1), range(1 - n, 0))
 
 
 def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionReport:
     """Evaluate every window identity for the equipped system.
 
     With ``tol`` omitted, exact systems must satisfy the identities
-    exactly and float systems up to sup-deviation 1e-10.
+    exactly and float systems up to sup-deviation 1e-10.  A given ``tol``
+    must be >= 0 and on the system's backend.
     """
     a = system.a
     n = system.n
-    tol = system.density.scalars.tol if tol is None else tol
+    tol = _tolerance(system.density.scalars, tol)
     full, short = _density_checks(a, n, system.density, tol)
     diff = system.weight_first - _weight_target(a, n, system.density)
     weight_checks = []
@@ -170,24 +176,21 @@ def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol
     """
     b = density.scalars
     fill = check_fill(fill, b)
-    marker = StepFunction.indicator(a, 1 - a)
-    grid = target._merged_grid(density, marker)
     zero, one = b.zero, b.one
-    values = []
-    for tv, pv, inside in zip(*(f._resample(grid) for f in (target, density, marker))):
+
+    def rule(tv, pv, inside):
         if not inside:
-            values.append(fill)
-            continue
+            return fill
         if pv == zero:
             if abs(tv) > tol:
                 raise InfeasibleError(RANGE, abs(tv))
-            values.append(fill)
-            continue
+            return fill
         r = tv / pv
         if r < -tol or r > 1 + tol:
             raise InfeasibleError(RANGE, max(-r, r - 1))
-        values.append(min(max(r, zero), one))
-    return StepFunction(grid, values)
+        return min(max(r, zero), one)
+
+    return combine(rule, target, density, StepFunction.indicator(a, 1 - a))
 
 
 def solve_alpha1(a, density: StepFunction, *, fill=0, tol=None) -> EquippedSystem:
@@ -202,12 +205,11 @@ def solve_alpha1(a, density: StepFunction, *, fill=0, tol=None) -> EquippedSyste
         raise TypeError("density must be a step function")
     a = density.scalars(a)
     n = derive_n(a)
-    tol = density.scalars.tol if tol is None else tol
+    tol = _tolerance(density.scalars, tol)
     full, short = _density_checks(a, n, density, tol)
     if not full.passed:
         raise InfeasibleError(FULL_WINDOW, full.deviation)
     if not short.passed:
         raise InfeasibleError(SHORT_WINDOW, short.deviation)
-    target = _weight_target(a, n, density).mask(a, 1 - a)
-    alpha1 = _alpha_from_target(a, density, target, fill, tol)
+    alpha1 = _alpha_from_target(a, density, _weight_target(a, n, density), fill, tol)
     return EquippedSystem(a, density, alpha1)

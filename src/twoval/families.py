@@ -140,11 +140,6 @@ def total_mass(n: int, beta, gamma) -> Scalar:
     return base * (beta + gamma)
 
 
-def normalize(system: EquippedSystem) -> EquippedSystem:
-    """Rescale the density to unit mass; invariance is unaffected."""
-    return EquippedSystem(system.a, system.density.normalized(), system.alpha1)
-
-
 # -- the golden-ratio beta-map -------------------------------------------
 
 #: 1/beta for the golden ratio, i.e. (sqrt(5)-1)/2.

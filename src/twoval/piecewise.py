@@ -35,7 +35,7 @@ class NonpositiveSlopeError(ValueError):
 
 
 class ZeroMassError(ValueError):
-    """A function with zero total mass cannot be normalized or sampled."""
+    """A function with zero total mass cannot be sampled."""
 
 
 class StepFunction:
@@ -204,11 +204,7 @@ class StepFunction:
 
     def _zip_with(self, other, op) -> "StepFunction":
         if isinstance(other, StepFunction):
-            if self.is_float != other.is_float:
-                raise MixedBackendError("cannot combine exact and float functions")
-            grid = self._merged_grid(other)
-            vals = [op(a, b) for a, b in zip(self._resample(grid), other._resample(grid))]
-            return StepFunction(grid, vals)
+            return combine(op, self, other)
         s = self.scalars(other)
         return StepFunction(self.breakpoints, [op(v, s) for v in self.values])
 
@@ -263,34 +259,17 @@ class StepFunction:
         zero, one = self.scalars.zero, self.scalars.one
         if not c > zero:
             raise NonpositiveSlopeError(f"slope must be positive, got {format_scalar(c)}")
+        # preimages of the breakpoints, clamped to [0,1]; the zero extension
+        # fills whatever they leave uncovered at either end
+        xs = [zero, *(min(max((t - b) / c, zero), one) for t in self.breakpoints), one]
+        vals = [zero, *self.values, zero]
         cut = [zero]
-        vals: list = []
-        pos = zero
-        for t0, t1, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
-            x0 = (t0 - b) / c
-            x1 = (t1 - b) / c
-            if x0 < zero:
-                x0 = zero
-            elif x0 > one:
-                x0 = one
-            if x1 > one:
-                x1 = one
-            elif x1 < zero:
-                x1 = zero
-            if not x1 > pos:
-                continue
-            if x0 > pos:
-                cut.append(x0)
-                vals.append(zero)
-                pos = x0
-            if x1 > pos:
+        kept = []
+        for x0, x1, v in zip(xs, xs[1:], vals):
+            if x1 > x0:
                 cut.append(x1)
-                vals.append(v)
-                pos = x1
-        if pos < one:
-            cut.append(one)
-            vals.append(zero)
-        return StepFunction(cut, vals)
+                kept.append(v)
+        return StepFunction(cut, kept)
 
     # -- measures and norms ----------------------------------------------
 
@@ -311,22 +290,13 @@ class StepFunction:
         """Essential sup of |f|: the largest |value| over the pieces."""
         return max(abs(v) for v in self.values)
 
-    def deviation(self, other: "StepFunction") -> Scalar:
-        """Sup-norm distance to another step function."""
-        return (self - other).sup_norm()
 
-    def l1_distance(self, other: "StepFunction") -> Scalar:
-        return abs(self - other).integrate()
-
-    def equal_ae(self, other: "StepFunction") -> bool:
-        """Exact almost-everywhere equality (zero deviation)."""
-        return self.deviation(other) == self.scalars.zero
-
-    def normalized(self) -> "StepFunction":
-        m = self.integrate()
-        if m == self.scalars.zero:
-            raise ZeroMassError("total mass is zero")
-        return self / m
+def combine(op, *fs: StepFunction) -> StepFunction:
+    """The function x -> op(f1(x), f2(x), ...), walking the merged grid once."""
+    if len({f.is_float for f in fs}) > 1:
+        raise MixedBackendError("cannot combine exact and float functions")
+    grid = fs[0]._merged_grid(*fs[1:])
+    return StepFunction(grid, [op(*vs) for vs in zip(*(f._resample(grid) for f in fs))])
 
 
 # -- serialization -------------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .numerics import (
     Backend,
@@ -25,7 +27,7 @@ from .numerics import (
     format_scalar,
     parse_scalar,
 )
-from .piecewise import StepFunction, step_from_json_dict, step_to_json_dict
+from .piecewise import StepFunction, combine, step_from_json_dict, step_to_json_dict
 
 
 def derive_n(a) -> int:
@@ -136,7 +138,7 @@ def pushforward_density(system: EquippedSystem) -> StepFunction:
     term_1u = a1.compose_affine(w, a).mask(c1_lo, 1)
     term_2l = a2.compose_affine(w, 0).mask(0, c2_hi)
     term_2u = a2.compose_affine(w, a)
-    return w * (term_1l + term_1u + term_2l + term_2u)
+    return combine(lambda *vs: w * reduce(add, vs), term_1l, term_1u, term_2l, term_2u)
 
 
 def pushforward_measure(system: EquippedSystem, interval: Interval) -> Scalar:

@@ -13,7 +13,7 @@ from twoval.cli import main
 from twoval.families import lebesgue_family, nonconstant_family, renyi_system
 from twoval.piecewise import StepFunction, step_from_json, step_to_json_dict
 from twoval.simulate import read_sample_file
-from twoval.system import pushforward_density, system_from_json, system_to_json
+from twoval.system import EquippedSystem, as_float_system, pushforward_density, system_from_json, system_to_json
 
 from test_system import golden_system
 
@@ -81,6 +81,60 @@ class TestCheck:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["check", str(path)]) == 2
+
+
+class TestTolerance:
+    """``--tol`` is read exactly, so it works on exact systems and rejects nan and inf."""
+
+    @staticmethod
+    def off_by_a_quarter(tmp_path):
+        # lebesgue n = 3 forces alpha1 = 1/2 on [1/3, 2/3); 3/4 misses it by 1/4
+        s = lebesgue_family(3)
+        alpha1 = StepFunction([0, Fraction(1, 3), Fraction(2, 3), 1], [0, Fraction(3, 4), 0])
+        return write_system(tmp_path, EquippedSystem(s.a, s.density, alpha1))
+
+    @staticmethod
+    def uniform_task(tmp_path):
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps({"a": "1/4", "p": step_to_json_dict(StepFunction.constant(1))}), encoding="utf-8")
+        return str(path)
+
+    def test_exact_system_against_its_deviation(self, tmp_path, capsys):
+        path = self.off_by_a_quarter(tmp_path)
+        assert main(["check", path, "--tol", "1/8"]) == 1
+        assert "overall: FAIL (n=3, max deviation 1/4)" in capsys.readouterr().out
+        assert main(["check", path, "--tol", "1/2"]) == 0
+        assert "overall: PASS (n=3, max deviation 1/4)" in capsys.readouterr().out
+
+    def test_exact_solve_accepts_a_tolerance(self, tmp_path, capsys):
+        assert main(["solve-alpha", self.uniform_task(tmp_path), "--tol", "1/8"]) == 0
+        assert system_from_json(capsys.readouterr().out) == lebesgue_family(4)
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
+    def test_bad_tolerance_exits_two(self, tmp_path, capsys, tol):
+        path = self.off_by_a_quarter(tmp_path)
+        floats = write_system(tmp_path, as_float_system(golden_system()), "float.json")
+        for argv in (["check", path], ["check", floats], ["solve-alpha", self.uniform_task(tmp_path)]):
+            assert main([*argv, f"--tol={tol}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+
+    def test_tolerance_beyond_doubles_exits_two_on_float(self, tmp_path, capsys):
+        path = write_system(tmp_path, as_float_system(golden_system()))
+        assert main(["check", path, "--tol", "1e400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tol needs a finite number, got '1e400'\n"
+
+    def test_float_default_is_the_same_tolerance(self, tmp_path, capsys):
+        s = golden_system(1, 2)
+        bumped = s.density + StepFunction([0, Fraction(1, 3), 1], [0, Fraction(1, 10**12)])
+        path = write_system(tmp_path, as_float_system(EquippedSystem(s.a, bumped, s.alpha1)))
+        rc = main(["check", path])
+        default = capsys.readouterr()
+        assert main(["check", path, "--tol", "1e-10"]) == rc
+        assert capsys.readouterr() == default
 
 
 class TestSolveAlpha:
@@ -284,7 +338,7 @@ class TestEntryPoints:
     def test_console_script(self, tmp_path):
         # Installers turn `[project.scripts]` into exactly this launcher, so
         # running it checks the declared entry point without an install.
-        entry = EntryPoint(name="twoval", value=_declared_console_script(), group="console_scripts")
+        entry = EntryPoint(name="twoval", value=_project()["scripts"]["twoval"], group="console_scripts")
         launcher = tmp_path / "twoval_launcher.py"
         launcher.write_text(
             "import sys\n"
@@ -316,15 +370,22 @@ class TestEntryPoints:
         assert proc.stdout.strip() == "111"
         for entry in entry_points(group="console_scripts"):
             if entry.name == "twoval":
-                assert entry.value == _declared_console_script()
+                assert entry.value == _project()["scripts"]["twoval"]
+
+    def test_package_metadata(self):
+        import twoval
+
+        assert twoval.__version__ == _project()["version"]
+        for name in twoval.__all__:
+            getattr(twoval, name)  # a stale export raises AttributeError
 
 
-def _declared_console_script():
-    """The `twoval` entry of `[project.scripts]` in the repo's pyproject.toml."""
+def _project():
+    """The `[project]` table of the repo's pyproject.toml."""
     try:
         import tomllib
     except ImportError:  # Python 3.10
         tomllib = pytest.importorskip("tomli")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"]["twoval"]
+        return tomllib.load(fh)["project"]

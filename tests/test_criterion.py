@@ -135,18 +135,28 @@ class TestLinearCost:
     def test_translates_linear_in_n(self, n, monkeypatch):
         system = lebesgue_family(n)
         calls = []
+        builds = []
         compose = StepFunction.compose_affine
+        init = StepFunction.__init__
 
         def counted(self, c, b):
             calls.append(None)
             return compose(self, c, b)
 
+        def counted_init(self, *args):
+            builds.append(None)
+            init(self, *args)
+
         monkeypatch.setattr(StepFunction, "compose_affine", counted)
+        monkeypatch.setattr(StepFunction, "__init__", counted_init)
         check_invariance_conditions(system)
         assert len(calls) <= 4 * n + 2
+        assert len(builds) <= 6 * n + 8  # 4n translates, one sum per identity, two per window
         calls.clear()
+        builds.clear()
         solve_alpha1(system.a, system.density)
         assert len(calls) <= 4 * n + 2
+        assert len(builds) <= 4 * n + 8
 
 
 class TestFloatBackend:

@@ -12,7 +12,7 @@ from twoval.numerics import MixedBackendError, MixedRadicandError, ParseError, S
 from twoval.piecewise import (
     NonpositiveSlopeError,
     StepFunction,
-    ZeroMassError,
+    combine,
     step_from_json,
     step_to_csv,
     step_to_json,
@@ -162,9 +162,10 @@ class TestResampleOracle:
     """The one-pass resample against evaluating every merged cell at its midpoint."""
 
     @staticmethod
-    def midpoint_rule(f, g, op):
-        grid = f._merged_grid(g)
-        return StepFunction(grid, [op(f(m), g(m)) for m in ((lo + hi) / 2 for lo, hi in zip(grid, grid[1:]))])
+    def midpoint_rule(op, *fs):
+        grid = fs[0]._merged_grid(*fs[1:])
+        mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
+        return StepFunction(grid, [op(*(f(m) for f in fs)) for m in mids])
 
     @pytest.mark.parametrize("backend", ["exact", "float"])
     def test_binary_ops_match_midpoint_rule(self, backend):
@@ -177,7 +178,24 @@ class TestResampleOracle:
                 f = _ragged_float(rng, rng.randint(50, 200))
                 g = _ragged_float(rng, rng.randint(50, 200), near=f.breakpoints[1:-1:3])
             for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-                assert op(f, g) == self.midpoint_rule(f, g, op)
+                assert op(f, g) == self.midpoint_rule(op, f, g)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_combine_matches_midpoint_rule(self, backend, arity):
+        rng = random.Random(f"combine-{backend}-{arity}")
+        for _ in range(3):
+            if backend == "exact":
+                f = _ragged_exact(rng, rng.randint(50, 200))
+                fs = [f] + [_ragged_exact(rng, rng.randint(50, 200), shared=f.breakpoints[1:-1]) for _ in range(arity - 1)]
+            else:
+                f = _ragged_float(rng, rng.randint(50, 200))
+                fs = [f] + [_ragged_float(rng, rng.randint(50, 200), near=f.breakpoints[1:-1:3]) for _ in range(arity - 1)]
+
+            def op(*vs):
+                return vs[0] * vs[1] - vs[2] + vs[-1] * vs[-1]
+
+            assert combine(op, *fs) == self.midpoint_rule(op, *fs)
 
 
 class TestComposeAffine:
@@ -217,6 +235,22 @@ class TestComposeAffine:
             expect = f(y) if 0 <= y <= 1 else 0
             assert v == expect
 
+    def test_oracle_on_ragged_functions(self):
+        rng = random.Random("compose-affine")
+        golden = Surd(Fraction(1, 2), Fraction(1, 2), 5)
+        for trial in range(24):
+            f = _ragged_exact(rng, rng.randint(50, 200))
+            c = Fraction(rng.randint(1, 60), rng.randint(1, 20))
+            if trial % 4 == 0:
+                c = c * golden
+            b = [Fraction(rng.randint(-40, 40), 20), 1 + Fraction(rng.randint(1, 9), 10), -c - Fraction(1, 7)][trial % 3]
+            g = f.compose_affine(c, b)
+            for iv, v in g.pieces():
+                y = c * (iv.lo + iv.hi) / 2 + b
+                assert v == (f(y) if 0 <= y <= 1 else 0)
+            lo, hi = max(b, Surd(0)), min(c + b, Surd(1))
+            assert g.integrate() == (f.integrate(lo, hi) / c if lo < hi else 0)
+
     def test_float_backend(self):
         f = StepFunction([0.0, 0.5, 1.0], [2.0, 5.0])
         g = f.compose_affine(0.5, 0.25)  # 0.5x + 0.25 in [0.25, 0.75]
@@ -246,15 +280,9 @@ class TestMeasures:
         f = StepFunction([0, H, 1], [1, 2])
         g = StepFunction([0, H, 1], [2, -1])
         assert f.sup_norm() == 2
-        assert f.deviation(g) == 3
-        assert f.l1_distance(g) == H * 1 + H * 3
-        assert f.equal_ae(StepFunction([0, Fraction(1, 3), H, 1], [1, 1, 2]))
-
-    def test_normalized(self):
-        f = StepFunction([0, H, 1], [3, 1])
-        assert f.normalized().integrate() == 1
-        with pytest.raises(ZeroMassError):
-            StepFunction.constant(0).normalized()
+        assert (f - g).sup_norm() == 3
+        assert abs(f - g).integrate() == H * 1 + H * 3
+        assert f == StepFunction([0, Fraction(1, 3), H, 1], [1, 1, 2])
 
     @given(exact_steps(), exact_steps())
     def test_integrate_is_linear(self, f, g):

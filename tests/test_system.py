@@ -104,8 +104,8 @@ class TestEquippedSystem:
 
     def test_weights_split_density(self):
         s = make_exact_system(random.Random(11))
-        assert (s.weight_first + s.weight_second).equal_ae(s.density)
-        assert s.weight_first.equal_ae(s.alpha1 * s.density)
+        assert s.weight_first + s.weight_second == s.density
+        assert s.weight_first == s.alpha1 * s.density
 
     def test_validation(self):
         p = StepFunction.constant(1)
@@ -127,7 +127,7 @@ class TestPushforwardDensity:
         for beta, gamma in [(1, 0), (0, 1), (1, 2), (3, 5)]:
             s = golden_system(beta, gamma)
             q = pushforward_density(s)
-            assert q.equal_ae(s.density), f"weights ({beta},{gamma})"
+            assert q == s.density, f"weights ({beta},{gamma})"
 
     def test_all_mass_on_first_map(self):
         # a = 2/5, p = 1, alpha1 = 1: image is 3/5 below 1/3 and 6/5 above
@@ -138,7 +138,7 @@ class TestPushforwardDensity:
     def test_half_parameter_preserves_uniform_for_any_alpha1(self):
         alpha = StepFunction([0, Fraction(1, 4), Fraction(2, 3), 1], [Fraction(1, 3), 1, 0])
         s = EquippedSystem(Fraction(1, 2), StepFunction.constant(1), alpha)
-        assert pushforward_density(s).equal_ae(StepFunction.constant(1))
+        assert pushforward_density(s) == StepFunction.constant(1)
 
     def test_mass_is_conserved(self):
         rng = random.Random(21)
