@@ -46,7 +46,6 @@ from .numerics import (
     Surd,
     format_scalar,
     parse_scalar,
-    sqrt_scalar,
 )
 from .piecewise import (
     NonpositiveSlopeError,
@@ -124,7 +123,6 @@ __all__ = [
     "run_chain",
     "sample_from_density",
     "solve_alpha1",
-    "sqrt_scalar",
     "step_from_json",
     "step_to_csv",
     "step_to_json",

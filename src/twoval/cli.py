@@ -35,6 +35,7 @@ from .piecewise import step_from_json_dict, step_to_csv, step_to_json
 from .simulate import run_chain, write_sample_file
 from .system import (
     as_float_system,
+    parameter_from_json,
     pushforward_density,
     system_from_json,
     system_to_json,
@@ -54,21 +55,16 @@ def _load_system(path: str):
         return system_from_json(fh.read())
 
 
-def _scalar_or_float(raw):
-    if isinstance(raw, str):
-        return parse_scalar(raw)
-    return float(raw)
-
-
-def _parse_tol(text, is_float: bool):
-    """``--tol`` read exactly, so nan and inf are rejected; a float on float systems."""
+def _scalar_option(flag: str, text, is_float: bool):
+    """A scalar option on the system's backend: read exactly, decimals too, and
+    ``float()`` of that on float systems; nan, inf and non-numbers are rejected."""
     if text is None:
         return None
     try:
-        tol = Fraction(text)
-        return float(tol) if is_float else tol
-    except (ValueError, OverflowError):
-        raise ValueError(f"--tol needs a finite number, got {text!r}") from None
+        x = parse_scalar(text) if "sqrt" in text else Fraction(text.replace(" ", ""))
+        return float(x) if is_float else x
+    except (ValueError, ArithmeticError):
+        raise ValueError(f"{flag} needs a finite number, got {text!r}") from None
 
 
 def cmd_family(args) -> int:
@@ -77,7 +73,7 @@ def cmd_family(args) -> int:
     elif args.kind == "lebesgue":
         if args.n is None:
             raise ValueError("family lebesgue needs --n")
-        system = lebesgue_family(args.n, fill=parse_scalar(args.fill))
+        system = lebesgue_family(args.n, fill=_scalar_option("--fill", args.fill, False))
     else:
         if args.n is None:
             raise ValueError("family nonconstant needs --n")
@@ -85,7 +81,7 @@ def cmd_family(args) -> int:
             args.n,
             parse_scalar(args.beta),
             parse_scalar(args.gamma),
-            fill=parse_scalar(args.fill),
+            fill=_scalar_option("--fill", args.fill, False),
         )
     _emit(system_to_json(system), args.output)
     return 0
@@ -93,7 +89,7 @@ def cmd_family(args) -> int:
 
 def cmd_check(args) -> int:
     system = _load_system(args.system)
-    report = check_invariance_conditions(system, tol=_parse_tol(args.tol, system.is_float))
+    report = check_invariance_conditions(system, tol=_scalar_option("--tol", args.tol, system.is_float))
     for c in report.checks:
         status = "VACUOUS" if c.vacuous else ("PASS" if c.passed else "FAIL")
         print(f"{c.name}: {status} (deviation {format_scalar(c.deviation)})")
@@ -109,12 +105,13 @@ def cmd_solve_alpha(args) -> int:
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON in {args.input}: {exc}") from exc
     try:
-        a = _scalar_or_float(d["a"])
+        a = parameter_from_json(d["a"])
         density = step_from_json_dict(d["p"])
     except KeyError as exc:
         raise ParseError(f"missing key {exc} in {args.input}") from exc
-    tol = _parse_tol(args.tol, density.is_float)
-    system = solve_alpha1(a, density, fill=parse_scalar(args.fill), tol=tol)
+    fill = _scalar_option("--fill", args.fill, density.is_float)
+    tol = _scalar_option("--tol", args.tol, density.is_float)
+    system = solve_alpha1(a, density, fill=fill, tol=tol)
     _emit(system_to_json(system), args.output)
     return 0
 

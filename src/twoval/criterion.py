@@ -113,7 +113,7 @@ def _window_check(name: str, diff: StepFunction, lo, hi, tol) -> ConditionCheck:
         lo = min(lo, hi)
         return ConditionCheck(name, Interval(lo, lo), 0, True, True)
     dev = diff.mask(lo, hi).sup_norm()
-    return ConditionCheck(name, Interval(lo, hi), dev, not dev > tol, False)
+    return ConditionCheck(name, Interval(lo, hi), dev, dev <= tol, False)
 
 
 def _density_checks(a, n: int, density: StepFunction, tol) -> tuple[ConditionCheck, ConditionCheck]:
@@ -182,11 +182,12 @@ def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol
         if not inside:
             return fill
         if pv == zero:
-            if abs(tv) > tol:
+            if not abs(tv) <= tol:
                 raise InfeasibleError(RANGE, abs(tv))
             return fill
         r = tv / pv
-        if r < -tol or r > 1 + tol:
+        # written so that a NaN ratio fails too
+        if not -tol <= r <= 1 + tol:
             raise InfeasibleError(RANGE, max(-r, r - 1))
         return min(max(r, zero), one)
 

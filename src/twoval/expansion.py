@@ -12,6 +12,14 @@ Words are kept in normal form: a digit 0 that would park the remainder
 exactly on the all-ones tail is not taken, which is what makes dyadic
 points at beta = 2 single-word.
 
+The enumeration walks the words layer by layer, one digit per layer.  A
+layer maps each tail state to the prefixes that reach it, so prefixes that
+land on one state share its arithmetic.  Every state in [0, tail] admits a
+digit, so layers never shrink and ``max_words`` bounds every layer.  For a
+Pisot base and x in its field only finitely many states are reachable
+(Schmidt 1980), and the cost follows states times length rather than the
+number of words.
+
 The point and the base share one backend.  Exact bases give exact
 orbits; float bases widen each threshold by the float snap distance so that
 states grazing it through rounding keep the digits the exact orbit would
@@ -39,8 +47,8 @@ class DigitSequence:
     __slots__ = ("digits",)
 
     def __init__(self, digits: Iterable[int]):
-        ds = tuple(int(d) for d in digits)
-        if any(d not in (0, 1) for d in ds):
+        ds = tuple(map(int, digits))
+        if not {0, 1}.issuperset(ds):
             raise ValueError("digits must be 0 or 1")
         object.__setattr__(self, "digits", ds)
 
@@ -152,9 +160,6 @@ def enumerate_expansions(x, beta, length: int, max_words: int = 4096) -> list:
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if length > 900:
-        # the search recurses one frame per digit
-        raise ValueError("enumeration length is capped at 900")
     if max_words < 1:
         raise ValueError("max_words must be positive")
     b = backend_of(x, beta)
@@ -164,28 +169,24 @@ def enumerate_expansions(x, beta, length: int, max_words: int = 4096) -> list:
         raise ValueError("point is not representable: must lie in [0, 1/(beta-1)]")
     is_float = b.is_float
     above = b.one - b.snap
-    words: list[DigitSequence] = []
-    prefix: list[int] = []
-
-    def descend(y, k: int):
-        if k == length:
-            if len(words) >= max_words:
-                raise BudgetExceededError(f"more than {max_words} words")
-            words.append(DigitSequence(prefix))
-            return
-        by = beta * y
-        if by >= above:
-            nxt = by - 1
-            if is_float:
-                nxt = min(max(nxt, 0.0), tail)
-            prefix.append(1)
-            descend(nxt, k + 1)
-            prefix.pop()
-        # strictly below the all-ones tail value: keeps words in normal form
-        if by < tail:
-            prefix.append(0)
-            descend(by, k + 1)
-            prefix.pop()
-
-    descend(x, 0)
-    return words
+    # tail state -> the prefixes that reach it, each as the int of its digits
+    layer = {x: [0]}
+    for _ in range(length):
+        nxt: dict = {}
+        for y, codes in layer.items():
+            by = beta * y
+            if by >= above:
+                z = by - 1
+                if is_float:
+                    z = min(max(z, 0.0), tail)
+                nxt.setdefault(z, []).extend(2 * c + 1 for c in codes)
+            # strictly below the all-ones tail value: keeps words in normal form
+            if by < tail:
+                nxt.setdefault(by, []).extend(2 * c for c in codes)
+        layer = nxt
+        # every state admits a digit, so layers never shrink
+        if sum(map(len, layer.values())) > max_words:
+            raise BudgetExceededError(f"more than {max_words} words")
+    codes = sorted((c for cs in layer.values() for c in cs), reverse=True)
+    # a leading 1 bit keeps the word's leading zeros
+    return [DigitSequence(map(int, format(c | 1 << length, "b")[1:])) for c in codes]

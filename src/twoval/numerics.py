@@ -294,11 +294,6 @@ class Surd:
     def is_rational(self) -> bool:
         return not self.q1
 
-    def as_fraction(self) -> Fraction:
-        if self.q1:
-            raise ValueError("scalar is irrational")
-        return self.q0
-
     def __str__(self):
         return format_scalar(self)
 
@@ -306,18 +301,6 @@ class Surd:
         if not self.q1:
             return f"Surd({str(self.q0)!r})"
         return f"Surd({str(self.q0)!r}, {str(self.q1)!r}, {self.d})"
-
-
-def sqrt_scalar(v: _RationalLike) -> Surd:
-    """Exact square root of a nonnegative rational, as a surd.
-
-    ``sqrt(p/q) = sqrt(p*q)/q``; the square part of the argument folds into
-    the rational coefficient, keeping the stored radicand square-free.
-    """
-    r = Fraction(v)
-    if r < 0:
-        raise ValueError("square root of a negative rational")
-    return Surd(0, Fraction(1, r.denominator), r.numerator * r.denominator)
 
 
 #: One scalar value on either backend.

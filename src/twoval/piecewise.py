@@ -13,6 +13,7 @@ affine reparametrization extends by zero outside [0,1].
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -287,7 +288,9 @@ class StepFunction:
         return total
 
     def sup_norm(self) -> Scalar:
-        """Essential sup of |f|: the largest |value| over the pieces."""
+        """Essential sup of |f|: the largest |value| over the pieces, NaN if one is NaN."""
+        if self.is_float and any(math.isnan(v) for v in self.values):
+            return math.nan
         return max(abs(v) for v in self.values)
 
 
@@ -332,7 +335,13 @@ def step_from_json_dict(d: dict) -> StepFunction:
         if want_float:
             if not isinstance(x, (int, float)):
                 raise ParseError(f"float backend requires numeric entries, got {x!r}")
-            return float(x)
+            try:
+                v = float(x)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                raise ParseError(f"float backend requires finite entries, got {x!r}")
+            return v
         if isinstance(x, int):
             return Surd(x)
         if isinstance(x, str):

@@ -186,6 +186,18 @@ def system_to_json_dict(system: EquippedSystem) -> dict:
     }
 
 
+def parameter_from_json(raw) -> Scalar:
+    """The parameter a from its JSON value: text as a scalar, a JSON number as a float."""
+    if isinstance(raw, str):
+        return parse_scalar(raw)
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except OverflowError:
+            pass
+    raise ParseError(f"bad parameter a: {raw!r}")
+
+
 def system_from_json_dict(d: dict) -> EquippedSystem:
     try:
         raw_a = d["a"]
@@ -193,14 +205,7 @@ def system_from_json_dict(d: dict) -> EquippedSystem:
         raw_alpha = d["alpha1"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"system JSON needs a/p/alpha1: {exc}") from exc
-    if isinstance(raw_a, bool):
-        raise ParseError("bad parameter a")
-    if isinstance(raw_a, str):
-        a = parse_scalar(raw_a)
-    elif isinstance(raw_a, (int, float)):
-        a = float(raw_a)
-    else:
-        raise ParseError(f"bad parameter a: {raw_a!r}")
+    a = parameter_from_json(raw_a)
     density = step_from_json_dict(raw_p)
     alpha1 = step_from_json_dict(raw_alpha)
     radicands = {density.radicand, alpha1.radicand, 1 if isinstance(a, float) else a.d} - {1}

@@ -11,9 +11,17 @@ import pytest
 
 from twoval.cli import main
 from twoval.families import lebesgue_family, nonconstant_family, renyi_system
+from twoval.numerics import parse_scalar
 from twoval.piecewise import StepFunction, step_from_json, step_to_json_dict
 from twoval.simulate import read_sample_file
-from twoval.system import EquippedSystem, as_float_system, pushforward_density, system_from_json, system_to_json
+from twoval.system import (
+    EquippedSystem,
+    as_float_system,
+    pushforward_density,
+    system_from_json,
+    system_to_json,
+    system_to_json_dict,
+)
 
 from test_system import golden_system
 
@@ -45,6 +53,13 @@ class TestFamily:
         loaded = system_from_json(capsys.readouterr().out)
         assert loaded == lebesgue_family(3, fill=Fraction(1, 2))
 
+    def test_fill_decimal_is_read_exactly_and_surds_are_allowed(self, capsys):
+        assert main(["family", "lebesgue", "--n", "3", "--fill", "0.5"]) == 0
+        assert system_from_json(capsys.readouterr().out) == lebesgue_family(3, fill=Fraction(1, 2))
+        golden_a = "3/2 - 1/2*sqrt(5)"
+        assert main(["family", "nonconstant", "--n", "2", "--fill", golden_a]) == 0
+        assert system_from_json(capsys.readouterr().out) == nonconstant_family(2, 1, 0, fill=parse_scalar(golden_a))
+
     def test_missing_n_is_usage_error(self, capsys):
         assert main(["family", "lebesgue"]) == 2
         assert main(["family", "nonconstant"]) == 2
@@ -73,6 +88,24 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "overall: FAIL" in out
         assert "7/11" in out
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_is_parse_error(self, tmp_path, capsys, value):
+        d = system_to_json_dict(as_float_system(lebesgue_family(3)))
+        d["p"]["values"] = [value]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(d), encoding="utf-8")  # writes NaN / Infinity
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_overflowing_density_fails_with_nan_deviation(self, tmp_path, capsys):
+        s = as_float_system(lebesgue_family(3))
+        path = write_system(tmp_path, EquippedSystem(s.a, StepFunction.constant(1e308), s.alpha1))
+        assert main(["check", path]) == 1
+        assert "density_window_full: FAIL (deviation nan)" in capsys.readouterr().out
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
@@ -110,7 +143,7 @@ class TestTolerance:
         assert main(["solve-alpha", self.uniform_task(tmp_path), "--tol", "1/8"]) == 0
         assert system_from_json(capsys.readouterr().out) == lebesgue_family(4)
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x", "1/0"])
     def test_bad_tolerance_exits_two(self, tmp_path, capsys, tol):
         path = self.off_by_a_quarter(tmp_path)
         floats = write_system(tmp_path, as_float_system(golden_system()), "float.json")
@@ -163,6 +196,41 @@ class TestSolveAlpha:
         path = tmp_path / "task.json"
         path.write_text(json.dumps({"a": "1/4"}), encoding="utf-8")
         assert main(["solve-alpha", str(path)]) == 2
+
+    def test_missing_key_message(self, tmp_path, capsys):
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps({"p": step_to_json_dict(StepFunction.constant(1))}), encoding="utf-8")
+        assert main(["solve-alpha", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: missing key 'a' in {path}\n"
+
+    @pytest.mark.parametrize("raw", [True, None, [1]], ids=["true", "null", "list"])
+    def test_bad_parameter_is_parse_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps({"a": raw, "p": step_to_json_dict(StepFunction.constant(1))}), encoding="utf-8")
+        assert main(["solve-alpha", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: bad parameter a")
+
+    @staticmethod
+    def float_task(tmp_path):
+        path = tmp_path / "task.json"
+        task = {"a": 0.5, "p": {"breakpoints": [0, 1], "values": [1.0], "backend": "float"}}
+        path.write_text(json.dumps(task), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv,fill", [([], 0.0), (["--fill", "1/2"], 0.5), (["--fill", "0.25"], 0.25)])
+    def test_float_task_takes_fill(self, tmp_path, capsys, argv, fill):
+        assert main(["solve-alpha", self.float_task(tmp_path), *argv]) == 0
+        solved = system_from_json(capsys.readouterr().out)
+        assert solved.is_float
+        assert solved.alpha1 == StepFunction.constant(fill)
+
+    @pytest.mark.parametrize("fill", ["2", "-1/2", "nan", "1e400"])
+    def test_fill_outside_unit_interval_exits_two(self, tmp_path, capsys, fill):
+        for path in (self.float_task(tmp_path), TestTolerance.uniform_task(tmp_path)):
+            assert main(["solve-alpha", path, f"--fill={fill}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
 
 
 class TestPushforward:

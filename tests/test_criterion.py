@@ -17,7 +17,7 @@ from twoval.criterion import (
 )
 from twoval.families import lebesgue_family, nonconstant_family
 from twoval.piecewise import StepFunction
-from twoval.system import EquippedSystem
+from twoval.system import EquippedSystem, as_float_system
 
 
 def float_golden_system(beta=1.0, gamma=0.0):
@@ -178,6 +178,16 @@ class TestFloatBackend:
         assert abs(s.alpha1(0.6) - 1 / 3) < 1e-12
 
 
+    def test_nan_deviation_fails(self):
+        # p is finite, but its translate sums overflow: inf - inf is NaN
+        s = as_float_system(lebesgue_family(3))
+        for density in (StepFunction.constant(1e308), StepFunction([0.0, 0.5, 1.0], [1.0, 1e308])):
+            report = check_invariance_conditions(EquippedSystem(s.a, density, s.alpha1))
+            assert not report.density_window_full.passed
+            assert report.density_window_full.deviation != report.density_window_full.deviation
+            assert not report.passed
+
+
 class TestSolveAlpha1:
     def test_golden_density_recovers_family_alpha1(self):
         for beta, gamma in [(1, 0), (1, 2), (3, 5)]:
@@ -253,6 +263,16 @@ class TestRangeGuard:
         target = StepFunction.indicator(self.A, Fraction(1, 2))
         alpha = _alpha_from_target(self.A, density, target, 0, 0)
         assert alpha == StepFunction([0, self.A, Fraction(1, 2), 1], [0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "density,target",
+        [(1.0, float("nan")), (float("inf"), float("inf")), (0.0, float("nan"))],
+    )
+    def test_nan_ratio_is_infeasible(self, density, target):
+        a = float(self.A)
+        with pytest.raises(InfeasibleError) as exc:
+            _alpha_from_target(a, StepFunction.constant(density), StepFunction.constant(target), 0.0, 1e-10)
+        assert exc.value.which == "range"
 
     def test_zero_density_with_nonzero_target_is_infeasible(self):
         density = StepFunction([0, self.A, Fraction(1, 2), 1], [1, 0, 1])

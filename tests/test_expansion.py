@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from twoval.expansion import (
     greedy_expansion,
     orbit_expansion,
 )
-from twoval.numerics import MixedBackendError, Surd
+from twoval.numerics import MixedBackendError, Surd, backend_of
 
 PHI = Surd(Fraction(1, 2), Fraction(1, 2), 5)
 PHI_INV = Surd(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -198,8 +199,14 @@ class TestOrbit:
 
 
 def brute_force_words(x, beta, length):
-    """Filter all 2^length words by replaying the admissibility rules."""
+    """Filter all 2^length words by replaying the admissibility rules.
+
+    On floats a digit 1 needs beta*y >= 1 - snap and the remainder is
+    clamped to [0, tail], as the float orbit does.
+    """
+    b = backend_of(x, beta)
     tail = 1 / (beta - 1)
+    above = b.one - b.snap
     found = []
     for code in range(2**length):
         word = [(code >> (length - 1 - k)) & 1 for k in range(length)]
@@ -207,13 +214,15 @@ def brute_force_words(x, beta, length):
         ok = True
         for d in word:
             by = beta * y
-            if d == 1 and not by >= 1:
+            if d == 1 and not by >= above:
                 ok = False
                 break
             if d == 0 and not by < tail:
                 ok = False
                 break
             y = by - d
+            if b.is_float:
+                y = min(max(y, 0.0), tail)
         if ok:
             found.append(DigitSequence(word))
     found.sort(key=lambda w: w.digits, reverse=True)
@@ -263,6 +272,25 @@ class TestEnumerate:
             fast = enumerate_expansions(x, 2, 8)
             assert fast == brute_force_words(x, Fraction(2), 8)
 
+    @pytest.mark.parametrize("beta", [Fraction(9, 5), 1.7, 1.9, float(PHI)], ids=str)
+    def test_brute_force_at_other_bases(self, beta):
+        rng = random.Random(23)
+        tail = 1 / (beta - 1)
+        for _ in range(12):
+            if isinstance(beta, float):
+                x = rng.random() * tail
+            else:
+                x = Fraction(rng.randint(0, 40), 40) * tail
+            expected = brute_force_words(x, beta, 10)
+            assert enumerate_expansions(x, beta, 10, max_words=len(expected)) == expected
+            if len(expected) > 1:
+                with pytest.raises(BudgetExceededError):
+                    enumerate_expansions(x, beta, 10, max_words=len(expected) - 1)
+
+    def test_zero_length_is_the_empty_word(self):
+        assert enumerate_expansions(Fraction(1, 2), PHI, 0) == [DigitSequence(())]
+        assert enumerate_expansions(0.5, 1.7, 0) == [DigitSequence(())]
+
     def test_one_at_base_two(self):
         assert enumerate_expansions(1, 2, 5) == [DigitSequence("11111")]
 
@@ -284,10 +312,30 @@ class TestEnumerate:
             enumerate_expansions(1.001, 2.0, 4)
 
     def test_rejects_oversized_length(self):
-        with pytest.raises(ValueError):
-            enumerate_expansions(Fraction(1, 2), 2, 100_000)
-        # a long but in-cap word enumerates fine at base 2
+        # no length cap: only max_words limits the walk
+        assert enumerate_expansions(Fraction(1, 2), 2, 5000) == [DigitSequence([1] + [0] * 4999)]
         assert len(enumerate_expansions(0, 2.0, 900)) == 1
+
+    def test_long_golden_walk_runs_out_of_budget_fast(self):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            enumerate_expansions(Fraction(1, 2), PHI, 2000)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_equal_tail_states_share_their_arithmetic(self, monkeypatch):
+        calls = 0
+        mul = Surd.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Surd, "__mul__", counted)
+        words = enumerate_expansions(Fraction(1, 2), PHI, 28)
+        assert len(words) == 512
+        # five reachable tail states, one multiplication each per digit
+        assert calls <= 8 * 28
 
     def test_random_points_bound_and_greedy_head(self):
         rng = random.Random(9)

@@ -17,7 +17,6 @@ from twoval.numerics import (
     Surd,
     format_scalar,
     parse_scalar,
-    sqrt_scalar,
 )
 
 GOLDEN_A = Surd(Fraction(3, 2), Fraction(-1, 2), 5)  # (3 - sqrt(5))/2
@@ -89,12 +88,13 @@ class TestFieldArithmetic:
         assert a ** -2 == 1 / (a * a)
 
     def test_sqrt_scalar(self):
-        assert sqrt_scalar(5) == Surd(0, 1, 5)
-        assert sqrt_scalar(Fraction(9, 4)) == Fraction(3, 2)
-        # sqrt(5/4) = sqrt(5)/2
-        assert sqrt_scalar(Fraction(5, 4)) == Surd(0, Fraction(1, 2), 5)
+        assert Surd(0, 1, 5) * Surd(0, 1, 5) == 5
+        # sqrt(9/4) = sqrt(9)/2: a square radicand folds into the rational part
+        assert Surd(0, Fraction(1, 2), 9) == Fraction(3, 2)
+        # sqrt(5/4) = sqrt(20)/4 = sqrt(5)/2
+        assert Surd(0, Fraction(1, 4), 20) == Surd(0, Fraction(1, 2), 5)
         with pytest.raises(ValueError):
-            sqrt_scalar(-1)
+            Surd(0, 1, -1)
 
     def test_random_axioms_match_fraction_oracle(self):
         rng = random.Random(12345)

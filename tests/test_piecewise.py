@@ -299,6 +299,12 @@ class TestMeasures:
         assert f.mask(lo, hi).integrate() == f.integrate(lo, hi)
 
 
+    def test_sup_norm_is_nan_when_any_piece_is(self):
+        # max() skips a NaN that is not first, which would pass a NaN deviation
+        f = StepFunction([0.0, 0.5, 1.0], [0.0, float("nan")])
+        assert f.sup_norm() != f.sup_norm()
+
+
 class TestFloatSnap:
     def test_nearly_equal_breakpoints_fuse(self):
         f = StepFunction([0.0, 0.3, 1.0], [1.0, 2.0])
@@ -350,6 +356,15 @@ class TestSerialization:
     def test_bad_json_rejected(self, text):
         with pytest.raises(ParseError):
             step_from_json(text)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "int-1e400"],
+    )
+    def test_non_finite_float_entries_rejected(self, entry):
+        with pytest.raises(ParseError, match="finite"):
+            step_from_json(f'{{"breakpoints": [0, 1], "values": [{entry}], "backend": "float"}}')
 
     def test_csv_export(self):
         f = StepFunction([0, H, 1], [Fraction(3, 2), 1])

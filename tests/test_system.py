@@ -214,3 +214,8 @@ class TestSerialization:
     def test_bad_json_rejected(self, text):
         with pytest.raises(ParseError):
             system_from_json(text)
+
+    def test_parameter_beyond_doubles_rejected(self):
+        # float() of this JSON integer overflows
+        with pytest.raises(ParseError, match="bad parameter a"):
+            system_from_json('{"a": 1' + "0" * 400 + ', "p": {}, "alpha1": {}}')
