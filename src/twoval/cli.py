@@ -79,8 +79,8 @@ def cmd_family(args) -> int:
             raise ValueError("family nonconstant needs --n")
         system = nonconstant_family(
             args.n,
-            parse_scalar(args.beta),
-            parse_scalar(args.gamma),
+            _scalar_option("--beta", args.beta, False),
+            _scalar_option("--gamma", args.gamma, False),
             fill=_scalar_option("--fill", args.fill, False),
         )
     _emit(system_to_json(system), args.output)

@@ -15,20 +15,19 @@ exactly when three families of identities hold:
 
 Together the J_m tile [a, 1-a); alpha1 is unconstrained on [0,a) and
 [1-a, 1].  Windows can be empty (at a = 1/n the full window and the last
-J_m vanish); empty windows hold vacuously.
+J_m vanish); windows no wider than the backend's snap distance hold
+vacuously.
 
-Translates are zero where their argument leaves [0,1], so one function
-serves every window of a family:
+Translates vanish where their argument leaves [0,1], so one function
+decides all three families.  With w = 1-a, let
 
-* on the short window x + (n-1)a >= 1 and (x + (n-2)a)/(1-a) >= 1, so the
-  two terms the short identity drops vanish there, and it is the full
-  identity's difference restricted to [1-(n-1)a, 2a);
-* on J_m, x + ka < 0 for every k < -(m+1), so each window's target is the
-  restriction of the one sum over k = -(n-1)..0 and k = -(n-1)..-1.
+    S(y) = sum_{k=-n..0} p(y+ka) - 1/w * sum_{k=-n..-1} p((y+ka)/w).
 
-The criterion therefore composes 4n translates of p, not a number that
-grows as n^2, and builds each family's function in one walk over the
-translates' merged grid.
+A1 = S on each J_m: the k < -(m+1) terms vanish there, and the k = -n
+ones because (n+1)a > 1.  The full identity at x is S(x + (n-1)a), term
+for term.  The short one is S(x + (n-2)a), whose two extra k = -n terms
+vanish for x < 2a.  The criterion thus composes 2n+1 translates of p and
+builds S in one walk over their merged grid.
 
 :func:`solve_alpha1` inverts the weight identity: given (a, p) it checks
 the two density identities, reads A1 off the windows, and divides by p.
@@ -37,6 +36,7 @@ Infeasibility is reported with the violated identity and its deviation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -90,12 +90,12 @@ class ConditionReport:
         return (self.density_window_full, self.density_window_short) + self.weight_identity
 
 
-def _translate_identity(p: StepFunction, a, plus_ks, minus_ks) -> StepFunction:
-    """The sum of p(x + ka) over plus_ks, minus 1/(1-a) times the sum of
-    p((x + ka)/(1-a)) over minus_ks, built in one walk over their grid."""
+def _identity(a, n: int, p: StepFunction) -> StepFunction:
+    """S: the sum of p(y + ka) over k = -n..0, minus 1/(1-a) times the sum of
+    p((y + ka)/(1-a)) over k = -n..-1, built in one walk over their grid."""
     w = 1 - a
-    plus = [p.compose_affine(1, k * a) for k in plus_ks]
-    minus = [p.compose_affine(1 / w, k * a / w) for k in minus_ks]
+    plus = [p.compose_affine(1, k * a) for k in range(-n, 1)]
+    minus = [p.compose_affine(1 / w, k * a / w) for k in range(-n, 0)]
     split = len(plus)
     return combine(lambda *vs: reduce(add, vs[:split]) - reduce(add, vs[split:]) / w, *plus, *minus)
 
@@ -108,32 +108,20 @@ def _tolerance(scalars: Backend, tol) -> Scalar:
     return tol
 
 
-def _window_check(name: str, diff: StepFunction, lo, hi, tol) -> ConditionCheck:
-    if not lo < hi:
+def _window_check(name: str, f: StepFunction, lo, hi, shift, tol) -> ConditionCheck:
+    """The identity on [lo, hi), read off f on [lo + shift, hi + shift)."""
+    if not hi - lo > f.scalars.snap:
         lo = min(lo, hi)
         return ConditionCheck(name, Interval(lo, lo), 0, True, True)
-    dev = diff.mask(lo, hi).sup_norm()
+    dev = f.mask(lo + shift, hi + shift).sup_norm()
     return ConditionCheck(name, Interval(lo, hi), dev, dev <= tol, False)
 
 
-def _density_checks(a, n: int, density: StepFunction, tol) -> tuple[ConditionCheck, ConditionCheck]:
-    # the short identity is this one on its window
-    diff = _translate_identity(density, a, range(-1, n), range(-1, n - 1))
+def _density_checks(a, n: int, s: StepFunction, tol) -> tuple[ConditionCheck, ConditionCheck]:
     split = 1 - (n - 1) * a  # the two windows meet here
-    full = _window_check(FULL_WINDOW, diff, a, split, tol)
-    short = _window_check(SHORT_WINDOW, diff, split, 2 * a, tol)
+    full = _window_check(FULL_WINDOW, s, a, split, (n - 1) * a, tol)
+    short = _window_check(SHORT_WINDOW, s, split, 2 * a, (n - 2) * a, tol)
     return full, short
-
-
-def _weight_window(a, n: int, m: int) -> tuple:
-    lo = (m + 1) * a
-    hi = (m + 2) * a if m < n - 2 else 1 - a
-    return lo, hi
-
-
-def _weight_target(a, n: int, density: StepFunction) -> StepFunction:
-    """One function whose restriction to every J_m is what A1 is pinned to there."""
-    return _translate_identity(density, a, range(1 - n, 1), range(1 - n, 0))
 
 
 def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionReport:
@@ -146,20 +134,22 @@ def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionRe
     a = system.a
     n = system.n
     tol = _tolerance(system.density.scalars, tol)
-    full, short = _density_checks(a, n, system.density, tol)
-    diff = system.weight_first - _weight_target(a, n, system.density)
-    weight_checks = []
-    for m in range(n - 1):
-        lo, hi = _weight_window(a, n, m)
-        weight_checks.append(_window_check(f"{WEIGHT_IDENTITY}[{m}]", diff, lo, hi, tol))
+    s = _identity(a, n, system.density)
+    full, short = _density_checks(a, n, s, tol)
+    diff = system.weight_first - s
+    weight_checks = tuple(
+        _window_check(f"{WEIGHT_IDENTITY}[{m}]", diff, (m + 1) * a, (m + 2) * a if m < n - 2 else 1 - a, 0, tol)
+        for m in range(n - 1)
+    )
     checks = [full, short, *weight_checks]
+    devs = [c.deviation for c in checks]
     return ConditionReport(
         n=n,
         passed=all(c.passed for c in checks),
-        max_deviation=max(c.deviation for c in checks),
+        max_deviation=max(devs) if all(d == d for d in devs) else math.nan,  # max() can skip a NaN
         density_window_full=full,
         density_window_short=short,
-        weight_identity=tuple(weight_checks),
+        weight_identity=weight_checks,
     )
 
 
@@ -207,10 +197,11 @@ def solve_alpha1(a, density: StepFunction, *, fill=0, tol=None) -> EquippedSyste
     a = density.scalars(a)
     n = derive_n(a)
     tol = _tolerance(density.scalars, tol)
-    full, short = _density_checks(a, n, density, tol)
+    s = _identity(a, n, density)
+    full, short = _density_checks(a, n, s, tol)
     if not full.passed:
         raise InfeasibleError(FULL_WINDOW, full.deviation)
     if not short.passed:
         raise InfeasibleError(SHORT_WINDOW, short.deviation)
-    alpha1 = _alpha_from_target(a, density, _weight_target(a, n, density), fill, tol)
+    alpha1 = _alpha_from_target(a, density, s, fill, tol)
     return EquippedSystem(a, density, alpha1)

@@ -31,13 +31,16 @@ from .piecewise import StepFunction, combine, step_from_json_dict, step_to_json_
 
 
 def derive_n(a) -> int:
-    """The integer n >= 2 with 1/(n+1) < a <= 1/n."""
+    """The integer n >= 2 with 1/(n+1) < a <= 1/n, by doubling then bisection."""
     if not 0 < a or Fraction(1, 2) < a:
-        raise ValueError(f"parameter must lie in (0, 1/2], got {a!r}")
-    n = 2
-    while not Fraction(1, n + 1) < a:
-        n += 1
-    return n
+        raise ValueError(f"parameter must lie in (0, 1/2], got {format_scalar(a)}")
+    lo, hi = 2, 3  # a <= 1/lo throughout, and 1/hi < a once the doubling stops
+    while not Fraction(1, hi) < a:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if Fraction(1, mid) < a else (mid, hi)
+    return lo
 
 
 def check_fill(fill, scalars: Backend) -> Scalar:
@@ -64,8 +67,7 @@ class EquippedSystem:
         a = density.scalars(a)
         if alpha1.is_float != density.is_float:
             raise MixedBackendError("a, density and alpha1 must share one backend")
-        if not 0 < a or Fraction(1, 2) < a:
-            raise ValueError(f"parameter must lie in (0, 1/2], got {format_scalar(a)}")
+        derive_n(a)  # raises unless 0 < a <= 1/2
         if not density.is_nonnegative():
             raise ValueError("density must be nonnegative")
         if alpha1.min_value < 0 or alpha1.max_value > 1:

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import twoval
 from twoval.cli import main
 from twoval.families import lebesgue_family, nonconstant_family, renyi_system
 from twoval.numerics import parse_scalar
@@ -60,6 +62,23 @@ class TestFamily:
         assert main(["family", "nonconstant", "--n", "2", "--fill", golden_a]) == 0
         assert system_from_json(capsys.readouterr().out) == nonconstant_family(2, 1, 0, fill=parse_scalar(golden_a))
 
+    def test_weights_are_read_like_fill(self, capsys):
+        assert main(["family", "nonconstant", "--n", "3", "--beta", "0.5", "--gamma", "1/4"]) == 0
+        decimal = capsys.readouterr().out
+        assert main(["family", "nonconstant", "--n", "3", "--beta", "1/2", "--gamma", "1/4"]) == 0
+        assert decimal == capsys.readouterr().out
+
+    def test_nan_weight_exits_two(self, capsys):
+        assert main(["family", "nonconstant", "--n", "3", "--beta", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_weight_in_another_field_exits_two(self, capsys):
+        # the golden family lives in Q(sqrt(5))
+        assert main(["family", "nonconstant", "--n", "2", "--beta", "sqrt(2)"]) == 2
+        assert capsys.readouterr().err == "error: cannot combine sqrt(2) with sqrt(5)\n"
+
     def test_missing_n_is_usage_error(self, capsys):
         assert main(["family", "lebesgue"]) == 2
         assert main(["family", "nonconstant"]) == 2
@@ -105,7 +124,9 @@ class TestCheck:
         s = as_float_system(lebesgue_family(3))
         path = write_system(tmp_path, EquippedSystem(s.a, StepFunction.constant(1e308), s.alpha1))
         assert main(["check", path]) == 1
-        assert "density_window_full: FAIL (deviation nan)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "density_window_short: FAIL (deviation nan)" in out
+        assert "overall: FAIL (n=3, max deviation nan)" in out
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
@@ -209,6 +230,12 @@ class TestSolveAlpha:
         path.write_text(json.dumps({"a": raw, "p": step_to_json_dict(StepFunction.constant(1))}), encoding="utf-8")
         assert main(["solve-alpha", str(path)]) == 2
         assert capsys.readouterr().err.startswith("parse error: bad parameter a")
+
+    def test_parameter_out_of_range_message(self, tmp_path, capsys):
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps({"a": "3/5", "p": step_to_json_dict(StepFunction.constant(1))}), encoding="utf-8")
+        assert main(["solve-alpha", str(path)]) == 2
+        assert capsys.readouterr().err == "error: parameter must lie in (0, 1/2], got 3/5\n"
 
     @staticmethod
     def float_task(tmp_path):
@@ -388,6 +415,13 @@ class TestMixedRadicands:
         assert len(captured.err.splitlines()) == 1
 
 
+def _child_env() -> dict:
+    """The environment with this package's source on PYTHONPATH, so a child
+    interpreter imports the code under test without an install."""
+    paths = [str(Path(twoval.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 class TestEntryPoints:
     def test_no_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -399,6 +433,7 @@ class TestEntryPoints:
             [sys.executable, "-m", "twoval.cli", "family", "renyi"],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert system_from_json(proc.stdout) == renyi_system()
@@ -416,7 +451,7 @@ class TestEntryPoints:
         )
 
         def run(*args):
-            return subprocess.run([sys.executable, str(launcher), *args], capture_output=True, text=True)
+            return subprocess.run([sys.executable, str(launcher), *args], capture_output=True, text=True, env=_child_env())
 
         proc = run("expand", "--x", "1", "--beta", "2", "--length", "3")
         assert proc.returncode == 0
@@ -441,8 +476,6 @@ class TestEntryPoints:
                 assert entry.value == _project()["scripts"]["twoval"]
 
     def test_package_metadata(self):
-        import twoval
-
         assert twoval.__version__ == _project()["version"]
         for name in twoval.__all__:
             getattr(twoval, name)  # a stale export raises AttributeError

@@ -48,6 +48,8 @@ class TestDeriveN:
             (Fraction(21, 100), 4),
             (0.45, 2),
             (0.301, 3),
+            (Fraction(1, 10**9), 10**9),
+            (1e-9, 10**9 - 1),  # the double nearest 1e-9 lies above it
         ],
     )
     def test_window(self, a, n):
