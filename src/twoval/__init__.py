@@ -22,7 +22,6 @@ from .criterion import (
 )
 from .expansion import (
     BudgetExceededError,
-    DigitSequence,
     InadmissibleChoiceError,
     enumerate_expansions,
     evaluate_expansion,
@@ -84,7 +83,6 @@ __all__ = [
     "ChainReport",
     "ConditionCheck",
     "ConditionReport",
-    "DigitSequence",
     "EquippedSystem",
     "HistogramReport",
     "InadmissibleChoiceError",

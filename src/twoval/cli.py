@@ -104,6 +104,8 @@ def cmd_solve_alpha(args) -> int:
             d = json.loads(fh.read())
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON in {args.input}: {exc}") from exc
+    if not isinstance(d, dict):
+        raise ParseError(f"{args.input} needs a JSON object with keys 'a' and 'p'")
     try:
         a = parameter_from_json(d["a"])
         density = step_from_json_dict(d["p"])
@@ -166,10 +168,11 @@ def cmd_expand(args) -> int:
         rule = None if args.rule == "greedy" else "lazy"
         words = [orbit_expansion(x, beta, args.length, choose=rule)]
     for w in words:
+        text = "".join(map(str, w))
         if args.values:
-            print(f"{w} {format_scalar(evaluate_expansion(w, beta))}")
+            print(f"{text} {format_scalar(evaluate_expansion(w, beta))}")
         else:
-            print(str(w))
+            print(text)
     return 0
 
 

@@ -3,7 +3,8 @@
 Digits are read off the orbit x_{k+1} = beta*x_k - sigma_k.  On the unit
 interval a digit 1 is admissible when beta*x >= 1 and a digit 0 when
 beta*x <= 1, so away from the single crossover the digit is forced; the
-greedy convention prefers 1 there (making greedy(1, 2) = 111...).
+greedy convention prefers 1 there (making greedy(1, 2) = 111...).  A word
+is a plain tuple of 0/1 ints, first digit first.
 
 Enumeration of all expansions works on the tail space [0, 1/(beta-1)] of
 values an infinite digit stream can still represent.  There a genuine
@@ -28,8 +29,6 @@ produce.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from .numerics import Scalar, backend_of
 
 
@@ -41,52 +40,6 @@ class BudgetExceededError(RuntimeError):
     """Enumeration found more words than the caller allowed."""
 
 
-class DigitSequence:
-    """An immutable word of binary digits."""
-
-    __slots__ = ("digits",)
-
-    def __init__(self, digits: Iterable[int]):
-        ds = tuple(map(int, digits))
-        if not {0, 1}.issuperset(ds):
-            raise ValueError("digits must be 0 or 1")
-        object.__setattr__(self, "digits", ds)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("DigitSequence is immutable")
-
-    @classmethod
-    def from_string(cls, text: str) -> "DigitSequence":
-        if not all(ch in "01" for ch in text):
-            raise ValueError(f"bad digit string {text!r}")
-        return cls(int(ch) for ch in text)
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        return self.digits[i]
-
-    def __eq__(self, other):
-        if isinstance(other, DigitSequence):
-            return self.digits == other.digits
-        if isinstance(other, (tuple, list)):
-            return self.digits == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.digits)
-
-    def __str__(self):
-        return "".join(str(d) for d in self.digits)
-
-    def __repr__(self):
-        return f"DigitSequence.from_string({str(self)!r})"
-
-
 def _check_beta(beta):
     if not 1 < beta <= 2:
         raise ValueError("base must lie in (1, 2]")
@@ -94,18 +47,24 @@ def _check_beta(beta):
 
 
 def evaluate_expansion(digits, beta) -> Scalar:
-    """Value of the word: sum of digit_k / beta^k, k = 1..len."""
+    """Value of the word: sum of digit_k / beta^k, k = 1..len.
+
+    Each digit is read with ``int()``, so ``"101"`` is the word ``(1, 0, 1)``.
+    """
     b = backend_of(beta)
     beta = _check_beta(b(beta))
-    word = DigitSequence(digits)
+    word = tuple(map(int, digits))
+    if not {0, 1}.issuperset(word):
+        raise ValueError("digits must be 0 or 1")
     acc = b.zero
-    for d in reversed(word.digits):
+    for d in reversed(word):
         acc = (acc + d) / beta
     return acc
 
 
-def orbit_expansion(x, beta, length: int, choose=None) -> DigitSequence:
-    """Digits read off the orbit, with a pluggable rule at crossover states.
+def orbit_expansion(x, beta, length: int, choose=None) -> tuple:
+    """The word of ``length`` digits read off the orbit, with a pluggable rule
+    at crossover states.
 
     ``choose`` may be None (prefer 1: greedy), "lazy" (prefer 0), or a
     callable ``(k, options) -> digit`` receiving the admissible digits in
@@ -138,14 +97,15 @@ def orbit_expansion(x, beta, length: int, choose=None) -> DigitSequence:
             d = choose(k, tuple(options))
             if d not in options:
                 raise InadmissibleChoiceError(f"digit {d!r} not admissible at step {k}")
+            d = int(d)  # an equal bool or float choice still yields an int digit
         x = bx - d
         if is_float:
             x = min(max(x, 0.0), 1.0)
         digits.append(d)
-    return DigitSequence(digits)
+    return tuple(digits)
 
 
-def greedy_expansion(x, beta, length: int) -> DigitSequence:
+def greedy_expansion(x, beta, length: int) -> tuple:
     """The lexicographically largest word: digit 1 whenever beta*x >= 1."""
     return orbit_expansion(x, beta, length)
 
@@ -153,8 +113,8 @@ def greedy_expansion(x, beta, length: int) -> DigitSequence:
 def enumerate_expansions(x, beta, length: int, max_words: int = 4096) -> list:
     """All normal-form words of the given length that can start an expansion of x.
 
-    Words come out in decreasing lexicographic order, so the first one is
-    the greedy word.  Each word w satisfies
+    Words come out as tuples in decreasing lexicographic order, so the first
+    one is the greedy word.  Each word w satisfies
     0 <= x - value(w) <= tail/beta^length with tail = 1/(beta-1).
     Raises BudgetExceededError beyond ``max_words`` words.
     """
@@ -189,4 +149,4 @@ def enumerate_expansions(x, beta, length: int, max_words: int = 4096) -> list:
             raise BudgetExceededError(f"more than {max_words} words")
     codes = sorted((c for cs in layer.values() for c in cs), reverse=True)
     # a leading 1 bit keeps the word's leading zeros
-    return [DigitSequence(map(int, format(c | 1 << length, "b")[1:])) for c in codes]
+    return [tuple(map(int, format(c | 1 << length, "b")[1:])) for c in codes]

@@ -45,6 +45,8 @@ def _square_free_split(v: int) -> tuple[int, int]:
     """Return ``(s, d)`` with ``v == s*s*d`` and ``d`` square-free."""
     if v < 0:
         raise ValueError("radicand must be nonnegative")
+    if v > 10**12:  # trial division below costs about 0.2 s at this cap
+        raise ValueError(f"radicand {v} exceeds 10^12")
     if v == 0:
         return 0, 1
     s, d, rem = 1, 1, v
@@ -289,10 +291,6 @@ class Surd:
             if x == (lo + c) / (den << k):
                 return x
             k *= 2
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.q1
 
     def __str__(self):
         return format_scalar(self)

@@ -246,8 +246,10 @@ class StepFunction:
         return StepFunction(self.breakpoints, [v / s for v in self.values])
 
     def mask(self, lo, hi) -> "StepFunction":
-        """Zero the function outside [lo, hi)."""
-        return self * StepFunction.indicator(self.scalars(lo), self.scalars(hi))
+        """Zero the function outside [lo, hi), whatever its values there (inf too)."""
+        zero = self.scalars.zero
+        inside = StepFunction.indicator(self.scalars(lo), self.scalars(hi))
+        return combine(lambda v, keep: v if keep else zero, self, inside)
 
     def compose_affine(self, c, b) -> "StepFunction":
         """The function x -> f(c*x + b), extended by zero where c*x + b leaves [0,1].

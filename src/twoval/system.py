@@ -22,6 +22,7 @@ from .numerics import (
     Backend,
     Interval,
     MixedBackendError,
+    MixedRadicandError,
     ParseError,
     Scalar,
     format_scalar,
@@ -55,8 +56,8 @@ class EquippedSystem:
     """Parameter a plus a weighting (p, alpha1) on one backend.
 
     p is a nonnegative step density (not necessarily of unit mass) and
-    alpha1 maps into [0,1].  The derived quantities n = derive_n(a) and
-    beta = 1/(1-a) in (1,2] come for free.
+    alpha1 maps into [0,1].  a, p and alpha1 may use at most one irrational
+    radicand between them.  The derived n = derive_n(a) comes for free.
     """
 
     __slots__ = ("a", "density", "alpha1")
@@ -64,6 +65,9 @@ class EquippedSystem:
     def __init__(self, a, density: StepFunction, alpha1: StepFunction):
         if not isinstance(density, StepFunction) or not isinstance(alpha1, StepFunction):
             raise TypeError("density and alpha1 must be step functions")
+        radicands = {density.radicand, alpha1.radicand, getattr(a, "d", 1)} - {1}
+        if len(radicands) > 1:
+            raise MixedRadicandError(f"a, p and alpha1 mix radicands {sorted(radicands)}")
         a = density.scalars(a)
         if alpha1.is_float != density.is_float:
             raise MixedBackendError("a, density and alpha1 must share one backend")
@@ -88,18 +92,9 @@ class EquippedSystem:
         return derive_n(self.a)
 
     @property
-    def beta(self) -> Scalar:
-        return 1 / (1 - self.a)
-
-    @property
     def weight_first(self) -> StepFunction:
         """A1 = alpha1 * p, the mass following the first map."""
         return self.alpha1 * self.density
-
-    @property
-    def weight_second(self) -> StepFunction:
-        """A2 = (1 - alpha1) * p."""
-        return self.density - self.weight_first
 
     def __eq__(self, other):
         if not isinstance(other, EquippedSystem):
@@ -131,7 +126,7 @@ def pushforward_density(system: EquippedSystem) -> StepFunction:
     a = system.a
     w = 1 - a
     a1 = system.weight_first
-    a2 = system.weight_second
+    a2 = system.density - a1
     # first map, upper branch: images start at (1-2a)/(1-a)
     c1_lo = (1 - 2 * a) / w
     # second map, lower branch: images stop at a/(1-a)
@@ -155,7 +150,7 @@ def pushforward_measure(system: EquippedSystem, interval: Interval) -> Scalar:
     if lo < 0 or hi > 1:
         raise ValueError("interval must lie inside [0,1]")
     a1 = system.weight_first
-    a2 = system.weight_second
+    a2 = system.density - a1
     lo_low, hi_low = w * lo, w * hi  # preimage under x -> x/(1-a)
     lo_up, hi_up = w * lo + a, w * hi + a  # preimage under x -> (x-a)/(1-a)
     total = a1.integrate(lo_low, min(hi_low, w))
@@ -210,11 +205,10 @@ def system_from_json_dict(d: dict) -> EquippedSystem:
     a = parameter_from_json(raw_a)
     density = step_from_json_dict(raw_p)
     alpha1 = step_from_json_dict(raw_alpha)
-    radicands = {density.radicand, alpha1.radicand, 1 if isinstance(a, float) else a.d} - {1}
-    if len(radicands) > 1:
-        raise ParseError(f"a, p and alpha1 mix radicands {sorted(radicands)}")
     try:
         return EquippedSystem(a, density, alpha1)
+    except MixedRadicandError as exc:
+        raise ParseError(str(exc)) from exc
     except (ValueError, MixedBackendError) as exc:
         raise ParseError(f"invalid system: {exc}") from exc
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
@@ -224,6 +225,15 @@ class TestSolveAlpha:
         assert main(["solve-alpha", str(path)]) == 2
         assert capsys.readouterr().err == f"parse error: missing key 'a' in {path}\n"
 
+    @pytest.mark.parametrize("task", ["[]", '"x"'], ids=["list", "string"])
+    def test_task_not_an_object_is_parse_error(self, tmp_path, capsys, task):
+        path = tmp_path / "task.json"
+        path.write_text(task, encoding="utf-8")
+        assert main(["solve-alpha", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {path} needs a JSON object with keys 'a' and 'p'\n"
+
     @pytest.mark.parametrize("raw", [True, None, [1]], ids=["true", "null", "list"])
     def test_bad_parameter_is_parse_error(self, tmp_path, capsys, raw):
         path = tmp_path / "task.json"
@@ -389,6 +399,14 @@ class TestExpand:
         code = main(["expand", "--x", "0.5", "--beta", "1/2 + 1/2*sqrt(5)", "--length", "4"])
         assert code == 2
 
+    def test_huge_radicand_exits_two_fast(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["expand", "--x", "sqrt(1000000000000000003)", "--beta", "2", "--length", "3"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestMixedRadicands:
     """Scalars over sqrt(2), sqrt(3) and sqrt(5) in one command are bad input, not a crash."""
@@ -413,6 +431,16 @@ class TestMixedRadicands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    def test_system_file_message(self, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({
+            "a": "-1/4 + 1/2*sqrt(2)",
+            "p": {"breakpoints": ["0", "1"], "values": ["1 + 1/4*sqrt(3)"], "backend": "exact-3"},
+            "alpha1": {"breakpoints": ["0", "1"], "values": ["0"], "backend": "exact-1"},
+        }), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "parse error: a, p and alpha1 mix radicands [2, 3]\n"
 
 
 def _child_env() -> dict:

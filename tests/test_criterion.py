@@ -239,17 +239,22 @@ class TestFloatBackend:
         assert statuses(as_float_system(lebesgue_family(n))) == statuses(lebesgue_family(n))
 
     def test_nan_deviation_fails(self):
-        # p is finite, but its translate sums overflow: inf - inf is NaN; in
-        # the second case the short window only overflows to inf and the NaN
-        # is in weight_identity[0], after it
+        # p is finite, but its translate sums overflow: inf - inf is NaN.  In
+        # the second case the short window only overflows to inf, and the inf
+        # outside weight_identity[0]'s window is masked away, not turned into
+        # NaN: inside it the largest |value| is 5e307
         s = as_float_system(lebesgue_family(3))
-        cases = [(StepFunction.constant(1e308), math.nan), (StepFunction([0.0, 0.5, 1.0], [1.0, 1e308]), math.inf)]
-        for density, short_deviation in cases:
+        cases = [
+            (StepFunction.constant(1e308), math.nan, math.nan),
+            (StepFunction([0.0, 0.5, 1.0], [1.0, 1e308]), math.inf, math.inf),
+        ]
+        for density, short_deviation, max_deviation in cases:
             report = check_invariance_conditions(EquippedSystem(s.a, density, s.alpha1))
             assert not report.density_window_short.passed
             assert repr(report.density_window_short.deviation) == repr(short_deviation)
-            assert math.isnan(report.max_deviation)
+            assert repr(report.max_deviation) == repr(max_deviation)
             assert not report.passed
+        assert report.weight_identity[0].deviation == 5e307
 
 
 class TestSolveAlpha1:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from twoval.expansion import (
     BudgetExceededError,
-    DigitSequence,
     InadmissibleChoiceError,
     enumerate_expansions,
     evaluate_expansion,
@@ -22,41 +21,13 @@ PHI_INV = Surd(Fraction(-1, 2), Fraction(1, 2), 5)
 
 
 class TestDigitSequence:
-    def test_round_trips_through_string(self):
-        w = DigitSequence([1, 0, 1, 1, 0])
-        assert str(w) == "10110"
-        assert DigitSequence.from_string("10110") == w
-
-    def test_compares_with_plain_sequences(self):
-        w = DigitSequence([1, 0, 1])
-        assert w == (1, 0, 1)
-        assert w == [1, 0, 1]
-        assert w != (1, 1, 1)
-
-    def test_len_iter_getitem(self):
-        w = DigitSequence([0, 1, 1])
-        assert len(w) == 3
-        assert list(w) == [0, 1, 1]
-        assert w[1] == 1
-        assert w[-1] == 1
-
-    def test_hashable(self):
-        assert len({DigitSequence("01"), DigitSequence([0, 1])}) == 1
+    """A word is a plain tuple of digits; evaluate_expansion checks words from outside."""
 
     def test_rejects_non_binary_digits(self):
         with pytest.raises(ValueError):
-            DigitSequence([0, 2])
+            evaluate_expansion([0, 2], 2)
         with pytest.raises(ValueError):
-            DigitSequence.from_string("10x1")
-
-    def test_immutable(self):
-        w = DigitSequence([1])
-        with pytest.raises(AttributeError):
-            w.digits = (0,)
-
-    def test_repr_round_trips(self):
-        w = DigitSequence([1, 0, 0, 1])
-        assert eval(repr(w)) == w
+            evaluate_expansion("10x1", 2)
 
 
 class TestEvaluate:
@@ -224,8 +195,8 @@ def brute_force_words(x, beta, length):
             if b.is_float:
                 y = min(max(y, 0.0), tail)
         if ok:
-            found.append(DigitSequence(word))
-    found.sort(key=lambda w: w.digits, reverse=True)
+            found.append(tuple(word))
+    found.sort(reverse=True)
     return found
 
 
@@ -237,11 +208,11 @@ class TestEnumerate:
 
     def test_base_two_dyadic_has_one_word(self):
         words = enumerate_expansions(Fraction(1, 2), 2, 8)
-        assert words == [DigitSequence.from_string("10000000")]
+        assert words == [(1, 0, 0, 0, 0, 0, 0, 0)]
 
     def test_base_two_float_agrees(self):
         words = enumerate_expansions(0.5, 2.0, 8)
-        assert words == [DigitSequence.from_string("10000000")]
+        assert words == [(1, 0, 0, 0, 0, 0, 0, 0)]
 
     def test_first_word_is_greedy(self):
         for x in [Fraction(1, 2), Fraction(2, 7), Fraction(9, 10)]:
@@ -250,8 +221,7 @@ class TestEnumerate:
 
     def test_words_in_decreasing_lex_order(self):
         words = enumerate_expansions(Fraction(1, 2), PHI, 8)
-        keys = [w.digits for w in words]
-        assert keys == sorted(keys, reverse=True)
+        assert words == sorted(words, reverse=True)
 
     def test_every_word_satisfies_tail_bound(self):
         x = Fraction(1, 2)
@@ -288,18 +258,18 @@ class TestEnumerate:
                     enumerate_expansions(x, beta, 10, max_words=len(expected) - 1)
 
     def test_zero_length_is_the_empty_word(self):
-        assert enumerate_expansions(Fraction(1, 2), PHI, 0) == [DigitSequence(())]
-        assert enumerate_expansions(0.5, 1.7, 0) == [DigitSequence(())]
+        assert enumerate_expansions(Fraction(1, 2), PHI, 0) == [()]
+        assert enumerate_expansions(0.5, 1.7, 0) == [()]
 
     def test_one_at_base_two(self):
-        assert enumerate_expansions(1, 2, 5) == [DigitSequence("11111")]
+        assert enumerate_expansions(1, 2, 5) == [(1,) * 5]
 
     def test_zero_has_one_word(self):
-        assert enumerate_expansions(0, PHI, 6) == [DigitSequence("000000")]
+        assert enumerate_expansions(0, PHI, 6) == [(0,) * 6]
 
     def test_tail_endpoint_is_all_ones(self):
         # 1/(phi-1) = phi is representable only by every digit being 1
-        assert enumerate_expansions(PHI, PHI, 6) == [DigitSequence("111111")]
+        assert enumerate_expansions(PHI, PHI, 6) == [(1,) * 6]
 
     def test_budget_is_enforced(self):
         with pytest.raises(BudgetExceededError):
@@ -313,7 +283,7 @@ class TestEnumerate:
 
     def test_rejects_oversized_length(self):
         # no length cap: only max_words limits the walk
-        assert enumerate_expansions(Fraction(1, 2), 2, 5000) == [DigitSequence([1] + [0] * 4999)]
+        assert enumerate_expansions(Fraction(1, 2), 2, 5000) == [(1,) + (0,) * 4999]
         assert len(enumerate_expansions(0, 2.0, 900)) == 1
 
     def test_long_golden_walk_runs_out_of_budget_fast(self):

