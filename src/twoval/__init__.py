@@ -54,18 +54,6 @@ from .piecewise import (
     step_to_csv,
     step_to_json,
 )
-from .simulate import (
-    ChainReport,
-    HistogramReport,
-    OneStepReport,
-    SampleSet,
-    histogram_report,
-    one_step_stationarity_test,
-    read_sample_file,
-    run_chain,
-    sample_from_density,
-    write_sample_file,
-)
 from .system import (
     EquippedSystem,
     as_float_system,
@@ -77,6 +65,31 @@ from .system import (
 )
 
 __version__ = "0.1.0"
+
+#: names from the Monte Carlo module, which needs numpy: resolved on first
+#: use, so that importing the package or the exact commands does not load it
+_SIMULATE_NAMES = frozenset(
+    {
+        "ChainReport",
+        "HistogramReport",
+        "OneStepReport",
+        "SampleSet",
+        "histogram_report",
+        "one_step_stationarity_test",
+        "read_sample_file",
+        "run_chain",
+        "sample_from_density",
+        "write_sample_file",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BudgetExceededError",

@@ -32,7 +32,6 @@ from .expansion import (
 from .families import lebesgue_family, nonconstant_family, renyi_system
 from .numerics import MixedRadicandError, ParseError, format_scalar, parse_scalar
 from .piecewise import step_from_json_dict, step_to_csv, step_to_json
-from .simulate import run_chain, write_sample_file
 from .system import (
     as_float_system,
     parameter_from_json,
@@ -128,6 +127,8 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import run_chain, write_sample_file  # numpy loads only for this command
+
     system = _load_system(args.system)
     chain = run_chain(
         as_float_system(system),

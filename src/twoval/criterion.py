@@ -26,8 +26,12 @@ decides all three families.  With w = 1-a, let
 A1 = S on each J_m: the k < -(m+1) terms vanish there, and the k = -n
 ones because (n+1)a > 1.  The full identity at x is S(x + (n-1)a), term
 for term.  The short one is S(x + (n-2)a), whose two extra k = -n terms
-vanish for x < 2a.  The criterion thus composes 2n+1 translates of p and
-builds S in one walk over their merged grid.
+vanish for x < 2a.  So the criterion builds S once.  On the exact backend
+S comes from the jumps of p: each translate moves them and scales their
+sizes, and one sort and one running sum over all of them give S in
+O(B log B) comparisons for B = O(n * pieces(p)) jumps.  On the float
+backend the 2n+1 translates are composed and summed in one walk over
+their merged grid, which keeps each cell's rounding local.
 
 :func:`solve_alpha1` inverts the weight identity: given (a, p) it checks
 the two density identities, reads A1 off the windows, and divides by p.
@@ -42,7 +46,7 @@ from functools import reduce
 from operator import add
 
 from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar
-from .piecewise import StepFunction, combine
+from .piecewise import StepFunction, combine, from_jumps
 from .system import EquippedSystem, check_fill, derive_n, pushforward_density
 
 FLOAT_TOL = FLOAT.tol
@@ -92,12 +96,25 @@ class ConditionReport:
 
 def _identity(a, n: int, p: StepFunction) -> StepFunction:
     """S: the sum of p(y + ka) over k = -n..0, minus 1/(1-a) times the sum of
-    p((y + ka)/(1-a)) over k = -n..-1, built in one walk over their grid."""
+    p((y + ka)/(1-a)) over k = -n..-1.
+
+    Exact: from the jumps of p, which the plus translates move to t - ka
+    and the minus ones to t(1-a) - ka, scaled by -1/(1-a).  Float: one walk
+    over the translates' merged grid, whose cell-wise sums do not drift.
+    """
     w = 1 - a
-    plus = [p.compose_affine(1, k * a) for k in range(-n, 1)]
-    minus = [p.compose_affine(1 / w, k * a / w) for k in range(-n, 0)]
-    split = len(plus)
-    return combine(lambda *vs: reduce(add, vs[:split]) - reduce(add, vs[split:]) / w, *plus, *minus)
+    if p.is_float:
+        plus = [p.compose_affine(1, k * a) for k in range(-n, 1)]
+        minus = [p.compose_affine(1 / w, k * a / w) for k in range(-n, 0)]
+        split = len(plus)
+        return combine(lambda *vs: reduce(add, vs[:split]) - reduce(add, vs[split:]) / w, *plus, *minus)
+    plus = p.jumps()
+    minus = [(t * w, -v / w) for t, v in plus]
+    shifts = [k * a for k in range(n + 1)]
+    return from_jumps(
+        [(t + s, v) for s in shifts for t, v in plus] + [(t + s, v) for s in shifts[1:] for t, v in minus],
+        p.scalars,
+    )
 
 
 def _tolerance(scalars: Backend, tol) -> Scalar:

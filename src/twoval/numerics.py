@@ -73,7 +73,9 @@ class Surd:
     Construction canonicalizes: the square part of the radicand is folded
     into ``q1`` (``sqrt(8)`` becomes ``2*sqrt(2)``), and a vanishing ``q1``
     forces ``d == 1``.  The canonical triple makes equality and hashing
-    structural.
+    structural.  Arithmetic on canonical operands yields canonical results,
+    so it builds them with :meth:`_make`, which skips that work, and on
+    two rationals (``d == 1``) it does plain ``Fraction`` arithmetic.
     """
 
     __slots__ = ("q0", "q1", "d")
@@ -104,6 +106,16 @@ class Surd:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Surd is immutable")
 
+    @staticmethod
+    def _make(q0: Fraction, q1: Fraction, d: int) -> "Surd":
+        """The surd from an already canonical triple: ``Fraction`` coefficients
+        and a square-free ``d``, which is reset to 1 when ``q1`` vanishes."""
+        x = _new_surd(Surd)
+        _set_q0(x, q0)
+        _set_q1(x, q1)
+        _set_d(x, d if q1 else 1)
+        return x
+
     # -- helpers ---------------------------------------------------------
 
     @staticmethod
@@ -112,8 +124,10 @@ class Surd:
             return other
         if isinstance(other, bool):
             return None
-        if isinstance(other, (int, Fraction)):
-            return Surd(other)
+        if isinstance(other, Fraction):
+            return Surd._make(other, _ZERO, 1)
+        if isinstance(other, int):
+            return Surd._make(Fraction(other), _ZERO, 1)
         if isinstance(other, float):
             raise MixedBackendError("cannot mix exact and float scalars; convert explicitly")
         return None
@@ -157,20 +171,24 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.d == 1 and o.d == 1:
+            return Surd._make(self.q0 + o.q0, _ZERO, 1)
         d = self._common_d(o)
-        return Surd(self.q0 + o.q0, self.q1 + o.q1, d)
+        return Surd._make(self.q0 + o.q0, self.q1 + o.q1, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.q0, -self.q1, self.d)
+        return Surd._make(-self.q0, -self.q1, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.d == 1 and o.d == 1:
+            return Surd._make(self.q0 - o.q0, _ZERO, 1)
         d = self._common_d(o)
-        return Surd(self.q0 - o.q0, self.q1 - o.q1, d)
+        return Surd._make(self.q0 - o.q0, self.q1 - o.q1, d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -182,8 +200,10 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.d == 1 and o.d == 1:
+            return Surd._make(self.q0 * o.q0, _ZERO, 1)
         d = self._common_d(o)
-        return Surd(self.q0 * o.q0 + self.q1 * o.q1 * d, self.q0 * o.q1 + self.q1 * o.q0, d)
+        return Surd._make(self.q0 * o.q0 + self.q1 * o.q1 * d, self.q0 * o.q1 + self.q1 * o.q0, d)
 
     __rmul__ = __mul__
 
@@ -191,12 +211,14 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.d == 1 and o.d == 1 and o.q0:
+            return Surd._make(self.q0 / o.q0, _ZERO, 1)
         d = self._common_d(o)
         norm = o.q0 * o.q0 - o.q1 * o.q1 * d
         if norm == 0:
             # d square-free: the conjugate norm vanishes only at zero.
             raise ZeroDivisionError("division by zero scalar")
-        return Surd(
+        return Surd._make(
             (self.q0 * o.q0 - self.q1 * o.q1 * d) / norm,
             (self.q1 * o.q0 - self.q0 * o.q1) / norm,
             d,
@@ -301,6 +323,10 @@ class Surd:
         return f"Surd({str(self.q0)!r}, {str(self.q1)!r}, {self.d})"
 
 
+_ZERO = Fraction(0)
+_new_surd = object.__new__
+_set_q0, _set_q1, _set_d = Surd.q0.__set__, Surd.q1.__set__, Surd.d.__set__
+
 #: One scalar value on either backend.
 Scalar = Union[Surd, float]
 
@@ -329,7 +355,7 @@ class Backend:
             return float(x)
         if isinstance(x, float):
             raise MixedBackendError("float used on the exact backend; convert explicitly")
-        return x if isinstance(x, Surd) else Surd(x)
+        return Surd._coerce(x) if isinstance(x, (Surd, int, Fraction)) else Surd(x)
 
 
 EXACT = Backend(False, Surd(0), Surd(1), tol=Surd(0), snap=Surd(0))

@@ -28,7 +28,7 @@ from .numerics import (
     format_scalar,
     parse_scalar,
 )
-from .piecewise import StepFunction, combine, step_from_json_dict, step_to_json_dict
+from .piecewise import StepFunction, combine, from_jumps, step_from_json_dict, step_to_json_dict
 
 
 def derive_n(a) -> int:
@@ -121,12 +121,22 @@ def pushforward_density(system: EquippedSystem) -> StepFunction:
 
     Sums the four inverse-branch contributions; each inverse has slope
     (1-a), so every term carries the factor (1-a).  Total mass is
-    conserved by construction.
+    conserved by construction.  Each branch sees A1 or A2 restricted to
+    its domain: A1 on [0, 1-a) and [1-a, 1], A2 on [0, a) and [a, 1].
+    Exact: those restrictions' jumps, mapped through the branches and
+    summed.  Float: the four composed terms, masked and summed in one
+    walk over their merged grid.
     """
     a = system.a
     w = 1 - a
     a1 = system.weight_first
     a2 = system.density - a1
+    if not system.is_float:
+        scale = 1 / w
+        branches = ((a1.jumps(0, w), 0), (a1.jumps(w, 1), a), (a2.jumps(0, a), 0), (a2.jumps(a, 1), a))
+        return from_jumps(
+            [((t - b) * scale, w * v) for jumps, b in branches for t, v in jumps], system.density.scalars
+        )
     # first map, upper branch: images start at (1-2a)/(1-a)
     c1_lo = (1 - 2 * a) / w
     # second map, lower branch: images stop at a/(1-a)
@@ -196,11 +206,13 @@ def parameter_from_json(raw) -> Scalar:
 
 
 def system_from_json_dict(d: dict) -> EquippedSystem:
+    if not isinstance(d, dict):
+        raise ParseError("system JSON must be an object with keys a/p/alpha1")
     try:
         raw_a = d["a"]
         raw_p = d["p"]
         raw_alpha = d["alpha1"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"system JSON needs a/p/alpha1: {exc}") from exc
     a = parameter_from_json(raw_a)
     density = step_from_json_dict(raw_p)

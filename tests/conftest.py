@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from twoval.families import nonconstant_family, renyi_system
 from twoval.piecewise import StepFunction
 from twoval.system import EquippedSystem
 
@@ -38,3 +39,36 @@ def make_float_system(rng: random.Random) -> EquippedSystem:
     cuts = sorted({rng.uniform(0.05, 0.95) for _ in range(rng.randint(0, 4))})
     alpha1 = StepFunction([0.0, *cuts, 1.0], [rng.random() for _ in range(len(cuts) + 1)])
     return EquippedSystem(a, density, alpha1)
+
+
+def make_ragged_system(rng: random.Random, pieces: int, a) -> EquippedSystem:
+    """A density and an alpha1 of ``pieces`` pieces each, cut on a 1/(16*pieces) grid."""
+
+    def grid():
+        den = 16 * pieces
+        return [Fraction(0), *(Fraction(c, den) for c in sorted(rng.sample(range(1, den), pieces - 1))), Fraction(1)]
+
+    density = StepFunction(grid(), [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(pieces)])
+    alpha1 = StepFunction(grid(), [Fraction(rng.randint(0, 8), 8) for _ in range(pieces)])
+    return EquippedSystem(a, density, alpha1)
+
+
+#: systems on which the exact jump-form sums are held to the grid walk
+JUMP_FORM_CASES = (
+    [f"ragged-{pieces}" for pieces in (1, 2, 3, 5, 8, 13, 24, 48)]
+    + [f"nonconstant-{n}" for n in range(2, 13)]
+    + ["renyi"]
+)
+
+
+def jump_form_systems(case: str) -> list:
+    """The systems of one of JUMP_FORM_CASES.  A ragged case holds two systems of
+    that many pieces, at a = 1/n and just above 1/(n+1) for a random n <= 12."""
+    kind, _, size = case.partition("-")
+    if kind == "renyi":
+        return [renyi_system()]
+    rng = random.Random(case)
+    if kind == "nonconstant":
+        return [nonconstant_family(int(size), rng.randint(0, 5), rng.randint(1, 5))]
+    n = rng.randint(2, 12)
+    return [make_ragged_system(rng, int(size), a) for a in (Fraction(1, n), Fraction(1, n + 1) + Fraction(1, 10**6))]

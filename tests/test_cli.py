@@ -137,6 +137,28 @@ class TestCheck:
         path.write_text("{not json", encoding="utf-8")
         assert main(["check", str(path)]) == 2
 
+    @pytest.mark.parametrize("text", ["[]", '"x"'], ids=["list", "string"])
+    def test_system_not_an_object_is_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "system.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: system JSON must be an object with keys a/p/alpha1\n"
+
+    @pytest.mark.parametrize("key", ["p", "alpha1"])
+    def test_step_function_not_an_object_is_parse_error(self, tmp_path, capsys, key):
+        d = system_to_json_dict(lebesgue_family(3))
+        d[key] = []
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "parse error: step function JSON must be an object with keys breakpoints/values/backend\n"
+        )
+
 
 class TestTolerance:
     """``--tol`` is read exactly, so it works on exact systems and rejects nan and inf."""
@@ -502,6 +524,17 @@ class TestEntryPoints:
         for entry in entry_points(group="console_scripts"):
             if entry.name == "twoval":
                 assert entry.value == _project()["scripts"]["twoval"]
+
+    def test_exact_commands_do_not_load_numpy(self):
+        code = (
+            "import sys, twoval.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+            "import twoval\n"
+            "assert twoval.run_chain is twoval.simulate.run_chain\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
 
     def test_package_metadata(self):
         assert twoval.__version__ == _project()["version"]

@@ -2,22 +2,27 @@
 
 import math
 import random
+import time
 from bisect import bisect_right
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
-from conftest import make_exact_step, make_exact_system, make_fraction_grid
+from conftest import JUMP_FORM_CASES, jump_form_systems, make_exact_step, make_exact_system, make_fraction_grid
 from test_system import GOLDEN_A, golden_system
 from twoval.criterion import (
     InfeasibleError,
     _alpha_from_target,
+    _identity,
     check_invariance_conditions,
     invariance_defect,
     solve_alpha1,
 )
 from twoval.families import lebesgue_family, nonconstant_family
-from twoval.piecewise import StepFunction
+from twoval.numerics import Surd
+from twoval.piecewise import StepFunction, combine
 from twoval.system import EquippedSystem, as_float_system, derive_n
 
 
@@ -137,8 +142,10 @@ class TestLinearCost:
         system = lebesgue_family(n)
         calls = []
         builds = []
+        adds = []
         compose = StepFunction.compose_affine
         init = StepFunction.__init__
+        surd_add = Surd.__add__
 
         def counted(self, c, b):
             calls.append(None)
@@ -148,16 +155,55 @@ class TestLinearCost:
             builds.append(None)
             init(self, *args)
 
+        def counted_add(self, other):
+            adds.append(None)
+            return surd_add(self, other)
+
         monkeypatch.setattr(StepFunction, "compose_affine", counted)
         monkeypatch.setattr(StepFunction, "__init__", counted_init)
+        monkeypatch.setattr(Surd, "__add__", counted_add)
+        # one translate sum of O(n * pieces(p)) jumps for all three families
+        add_cap = 16 * (n + 1) * (len(system.density.values) + 1)
         check_invariance_conditions(system)
-        assert len(calls) <= 2 * n + 1  # one translate sum for all three families
+        assert len(calls) <= 2 * n + 1
         assert len(builds) <= 4 * n + 4  # 2n+1 translates, their sum, A1, A1 - S, two per window
+        assert len(adds) <= add_cap
         calls.clear()
         builds.clear()
+        adds.clear()
         solve_alpha1(system.a, system.density)
         assert len(calls) <= 2 * n + 1
         assert len(builds) <= 2 * n + 8
+        assert len(adds) <= add_cap
+
+    def test_lebesgue_320_under_half_a_second(self):
+        system = lebesgue_family(320)
+        t0 = time.perf_counter()
+        assert check_invariance_conditions(system).passed
+        t1 = time.perf_counter()
+        assert solve_alpha1(system.a, system.density) == system
+        t2 = time.perf_counter()
+        assert t1 - t0 < 0.5
+        assert t2 - t1 < 0.5
+
+
+def _identity_by_grid(a, n: int, p: StepFunction) -> StepFunction:
+    """S as 2n+1 composed translates summed in one walk over their merged grid."""
+    w = 1 - a
+    plus = [p.compose_affine(1, k * a) for k in range(-n, 1)]
+    minus = [p.compose_affine(1 / w, k * a / w) for k in range(-n, 0)]
+    split = len(plus)
+    return combine(lambda *vs: reduce(add, vs[:split]) - reduce(add, vs[split:]) / w, *plus, *minus)
+
+
+class TestJumpForm:
+    """The translate sum S, built from jumps, against the grid walk over composed translates."""
+
+    @pytest.mark.parametrize("case", JUMP_FORM_CASES)
+    def test_translate_sum_matches_grid_walk(self, case):
+        for system in jump_form_systems(case):
+            for s in (system, as_float_system(system)):
+                assert _identity(s.a, s.n, s.density) == _identity_by_grid(s.a, s.n, s.density)
 
 
 def _oracle_deviations(system: EquippedSystem) -> list:

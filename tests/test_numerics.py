@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,38 @@ class TestFieldArithmetic:
                 assert (x / z) * z == x
             fx = float(x.q0) + float(x.q1) * math.sqrt(5)
             assert math.isclose(float(x), fx, rel_tol=0, abs_tol=1e-12)
+
+
+class TestTrustedConstructor:
+    """Arithmetic builds its results with ``Surd._make``, which trusts canonical operands."""
+
+    @pytest.mark.parametrize("d, pairs", [(1, 200), (2, 200), (5, 200), (65, 200), (999_999_999_989, 1)])
+    def test_results_equal_canonical_rebuild(self, d, pairs):
+        rng = random.Random(d)
+
+        def operand():
+            q0 = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+            q1 = Fraction(rng.randint(-99, 99), rng.randint(1, 99)) if d > 1 and rng.random() < 0.8 else 0
+            return Surd._make(q0, Fraction(q1), d)
+
+        for _ in range(pairs):
+            x, y = operand(), operand()
+            results = [x + y, x - y, x * y, -x, x + 1, 1 - x, Fraction(1, 3) * x]
+            if y:
+                results.append(x / y)
+            for r in results:
+                rebuilt = Surd(r.q0, r.q1, r.d)
+                assert (type(r.q0), type(r.q1)) == (Fraction, Fraction)
+                assert (r.q0, r.q1, r.d) == (rebuilt.q0, rebuilt.q1, rebuilt.d)
+                assert hash(r) == hash(rebuilt)
+
+    def test_large_radicand_arithmetic_is_fast(self):
+        x = Surd(0, 1, 999_999_999_989)  # the square-free split runs here, once
+        t0 = time.perf_counter()
+        y = x + 1
+        z = y * y
+        assert time.perf_counter() - t0 < 0.01
+        assert z == Surd(999_999_999_990, 2, 999_999_999_989)
 
 
 class TestComparisons:

@@ -2,16 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
-from conftest import make_exact_system, make_float_system
+from conftest import JUMP_FORM_CASES, jump_form_systems, make_exact_system, make_float_system
 from twoval.numerics import Interval, MixedBackendError, MixedRadicandError, ParseError, Surd
-from twoval.piecewise import StepFunction
+from twoval.piecewise import StepFunction, combine
 from twoval.simulate import _advance
 from twoval.system import (
     EquippedSystem,
+    as_float_system,
     derive_n,
     pushforward_density,
     pushforward_measure,
@@ -159,6 +162,29 @@ class TestPushforwardDensity:
         s = make_float_system(random.Random(5))
         q = pushforward_density(s)
         assert abs(q.integrate() - s.density.integrate()) < 1e-12
+
+
+def _pushforward_by_grid(system: EquippedSystem) -> StepFunction:
+    """The four composed and masked inverse-branch terms, summed in one walk over their merged grid."""
+    a = system.a
+    w = 1 - a
+    a1 = system.weight_first
+    a2 = system.density - a1
+    terms = (
+        a1.compose_affine(w, 0),
+        a1.compose_affine(w, a).mask((1 - 2 * a) / w, 1),
+        a2.compose_affine(w, 0).mask(0, a / w),
+        a2.compose_affine(w, a),
+    )
+    return combine(lambda *vs: w * reduce(add, vs), *terms)
+
+
+class TestPushforwardJumpForm:
+    @pytest.mark.parametrize("case", JUMP_FORM_CASES)
+    def test_matches_grid_walk(self, case):
+        for system in jump_form_systems(case):
+            for s in (system, as_float_system(system)):
+                assert pushforward_density(s) == _pushforward_by_grid(s)
 
 
 class TestPushforwardMeasure:
