@@ -252,6 +252,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError:  # float() of an exact value; the value itself may run to pages
+        print("error: a value is outside the float range", file=sys.stderr)
+        return 2
     except (ValueError, TypeError, MixedRadicandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,12 +26,11 @@ decides all three families.  With w = 1-a, let
 A1 = S on each J_m: the k < -(m+1) terms vanish there, and the k = -n
 ones because (n+1)a > 1.  The full identity at x is S(x + (n-1)a), term
 for term.  The short one is S(x + (n-2)a), whose two extra k = -n terms
-vanish for x < 2a.  So the criterion builds S once.  On the exact backend
-S comes from the jumps of p: each translate moves them and scales their
-sizes, and one sort and one running sum over all of them give S in
-O(B log B) comparisons for B = O(n * pieces(p)) jumps.  On the float
-backend the 2n+1 translates are composed and summed in one walk over
-their merged grid, which keeps each cell's rounding local.
+vanish for x < 2a.  So the criterion builds S once, from the jumps of p:
+each translate moves them and scales their sizes, and one sort and one
+running sum over all of them give S in O(B log B) comparisons for
+B = O(n * pieces(p)) jumps.  The sum is exact on both backends; on the
+float backend each level is rounded once at the end.
 
 :func:`solve_alpha1` inverts the weight identity: given (a, p) it checks
 the two density identities, reads A1 off the windows, and divides by p.
@@ -42,8 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar
 from .piecewise import StepFunction, combine, from_jumps
@@ -98,23 +95,15 @@ def _identity(a, n: int, p: StepFunction) -> StepFunction:
     """S: the sum of p(y + ka) over k = -n..0, minus 1/(1-a) times the sum of
     p((y + ka)/(1-a)) over k = -n..-1.
 
-    Exact: from the jumps of p, which the plus translates move to t - ka
-    and the minus ones to t(1-a) - ka, scaled by -1/(1-a).  Float: one walk
-    over the translates' merged grid, whose cell-wise sums do not drift.
+    The plus translates move the jumps of p to t - ka and the minus ones
+    to t(1-a) - ka, scaled by -1/(1-a); one :func:`from_jumps` sums them.
     """
     w = 1 - a
-    if p.is_float:
-        plus = [p.compose_affine(1, k * a) for k in range(-n, 1)]
-        minus = [p.compose_affine(1 / w, k * a / w) for k in range(-n, 0)]
-        split = len(plus)
-        return combine(lambda *vs: reduce(add, vs[:split]) - reduce(add, vs[split:]) / w, *plus, *minus)
     plus = p.jumps()
     minus = [(t * w, -v / w) for t, v in plus]
     shifts = [k * a for k in range(n + 1)]
-    return from_jumps(
-        [(t + s, v) for s in shifts for t, v in plus] + [(t + s, v) for s in shifts[1:] for t, v in minus],
-        p.scalars,
-    )
+    jumps = [(t + s, v) for s in shifts for t, v in plus] + [(t + s, v) for s in shifts[1:] for t, v in minus]
+    return from_jumps(jumps, p.scalars)
 
 
 def _tolerance(scalars: Backend, tol) -> Scalar:

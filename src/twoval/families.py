@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .numerics import EXACT, Scalar, Surd
-from .piecewise import StepFunction
+from .piecewise import StepFunction, from_jumps
 from .system import EquippedSystem, check_fill
 
 
@@ -153,7 +153,7 @@ def renyi_transfer(f: StepFunction) -> StepFunction:
     vanishing once (y+1)/beta leaves [0,1].
     """
     c = float(_GOLDEN_INV) if f.is_float else _GOLDEN_INV
-    return c * (f.compose_affine(c, 0) + f.compose_affine(c, c))
+    return from_jumps([(t / c - k, c * v) for k in (0, 1) for t, v in f.jumps()], f.scalars)
 
 
 def renyi_density() -> StepFunction:

@@ -255,26 +255,14 @@ class StepFunction:
     def compose_affine(self, c, b) -> "StepFunction":
         """The function x -> f(c*x + b), extended by zero where c*x + b leaves [0,1].
 
-        Requires c > 0.  The float transfer operator and translate sums are
-        algebras of these reparametrizations; the exact ones move
-        :meth:`jumps` to (t - b)/c instead.
+        Requires c > 0.  Each of :meth:`jumps` moves to (t - b)/c with its
+        size unchanged, and :func:`from_jumps` sums them.
         """
         c = self.scalars(c)
         b = self.scalars(b)
-        zero, one = self.scalars.zero, self.scalars.one
-        if not c > zero:
+        if not c > self.scalars.zero:
             raise NonpositiveSlopeError(f"slope must be positive, got {format_scalar(c)}")
-        # preimages of the breakpoints, clamped to [0,1]; the zero extension
-        # fills whatever they leave uncovered at either end
-        xs = [zero, *(min(max((t - b) / c, zero), one) for t in self.breakpoints), one]
-        vals = [zero, *self.values, zero]
-        cut = [zero]
-        kept = []
-        for x0, x1, v in zip(xs, xs[1:], vals):
-            if x1 > x0:
-                cut.append(x1)
-                kept.append(v)
-        return StepFunction(cut, kept)
+        return from_jumps([((t - b) / c, v) for t, v in self.jumps()], self.scalars)
 
     def jumps(self, lo=None, hi=None) -> list:
         """The function on [lo, hi) and zero elsewhere as its jumps (t, size), in order.
@@ -328,16 +316,21 @@ def from_jumps(jumps, scalars) -> StepFunction:
     """The step function on [0,1] that jumps by each ``size`` at its ``t``.
 
     Jumps at t <= 0 set the starting level and those at t >= 1 fall
-    outside.  One sort and one running sum: on the exact backend this is
-    a sum of linear terms in O(B log B) comparisons and B additions for
-    B jumps.  Float sums would carry rounding along the grid, so float
-    callers keep :func:`combine`.
+    outside.  One sort and one running sum, of B linear terms in
+    O(B log B) comparisons.  Float sums are exact too, so no rounding
+    drifts along the grid: positions within the snap distance of the last
+    kept one move onto it, and each level is rounded once, to +-inf beyond
+    the double range and to NaN from a non-finite size on.
     """
     zero, one = scalars.zero, scalars.one
+    jumps = sorted(jumps, key=itemgetter(0))
+    level = zero
+    if scalars.is_float:
+        jumps, nan_from = _snapped_exact(jumps, scalars.snap)
+        level = Fraction(0)
     bps = [zero]
     vals = []
-    level = zero
-    for t, size in sorted(jumps, key=itemgetter(0)):
+    for t, size in jumps:
         if t >= one:
             break
         if t > bps[-1]:
@@ -346,7 +339,35 @@ def from_jumps(jumps, scalars) -> StepFunction:
         level = level + size
     vals.append(level)
     bps.append(one)
+    if scalars.is_float:
+        vals = [_nearest_double(v) if t < nan_from else math.nan for t, v in zip(bps, vals)]
     return StepFunction(bps, vals)
+
+
+def _snapped_exact(jumps: list, snap: float) -> tuple[list, float]:
+    """Sorted float jumps snapped, up to 1 - snap, with ``Fraction`` sizes,
+    cut at the first non-finite size (left as a zero jump, so that its
+    position stays a breakpoint); and that position, inf if there is none."""
+    kept = 0.0
+    out = []
+    for t, size in jumps:
+        if t - kept <= snap:
+            t = kept
+        elif t >= 1.0 - snap:
+            break
+        else:
+            kept = t
+        if not math.isfinite(size):
+            return out + [(t, 0)], t
+        out.append((t, Fraction(size)))
+    return out, math.inf
+
+
+def _nearest_double(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 # -- serialization -------------------------------------------------------

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import reduce
-from operator import add
 
 from .numerics import (
     Backend,
@@ -28,7 +26,7 @@ from .numerics import (
     format_scalar,
     parse_scalar,
 )
-from .piecewise import StepFunction, combine, from_jumps, step_from_json_dict, step_to_json_dict
+from .piecewise import StepFunction, from_jumps, step_from_json_dict, step_to_json_dict
 
 
 def derive_n(a) -> int:
@@ -123,29 +121,17 @@ def pushforward_density(system: EquippedSystem) -> StepFunction:
     (1-a), so every term carries the factor (1-a).  Total mass is
     conserved by construction.  Each branch sees A1 or A2 restricted to
     its domain: A1 on [0, 1-a) and [1-a, 1], A2 on [0, a) and [a, 1].
-    Exact: those restrictions' jumps, mapped through the branches and
-    summed.  Float: the four composed terms, masked and summed in one
-    walk over their merged grid.
+    Those restrictions' jumps, mapped through the branches, are summed by
+    one :func:`~twoval.piecewise.from_jumps`.
     """
     a = system.a
     w = 1 - a
     a1 = system.weight_first
     a2 = system.density - a1
-    if not system.is_float:
-        scale = 1 / w
-        branches = ((a1.jumps(0, w), 0), (a1.jumps(w, 1), a), (a2.jumps(0, a), 0), (a2.jumps(a, 1), a))
-        return from_jumps(
-            [((t - b) * scale, w * v) for jumps, b in branches for t, v in jumps], system.density.scalars
-        )
-    # first map, upper branch: images start at (1-2a)/(1-a)
-    c1_lo = (1 - 2 * a) / w
-    # second map, lower branch: images stop at a/(1-a)
-    c2_hi = a / w
-    term_1l = a1.compose_affine(w, 0)
-    term_1u = a1.compose_affine(w, a).mask(c1_lo, 1)
-    term_2l = a2.compose_affine(w, 0).mask(0, c2_hi)
-    term_2u = a2.compose_affine(w, a)
-    return combine(lambda *vs: w * reduce(add, vs), term_1l, term_1u, term_2l, term_2u)
+    scale = 1 / w
+    branches = ((a1.jumps(0, w), 0), (a1.jumps(w, 1), a), (a2.jumps(0, a), 0), (a2.jumps(a, 1), a))
+    jumps = [((t - b) * scale, w * v) for branch, b in branches for t, v in branch]
+    return from_jumps(jumps, system.density.scalars)
 
 
 def pushforward_measure(system: EquippedSystem, interval: Interval) -> Scalar:

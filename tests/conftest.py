@@ -1,4 +1,4 @@
-"""Shared builders for randomized tests."""
+"""Shared builders for randomized tests, and grid-walk oracles for the jump-form sums."""
 
 import random
 from fractions import Fraction
@@ -72,3 +72,33 @@ def jump_form_systems(case: str) -> list:
         return [nonconstant_family(int(size), rng.randint(0, 5), rng.randint(1, 5))]
     n = rng.randint(2, 12)
     return [make_ragged_system(rng, int(size), a) for a in (Fraction(1, n), Fraction(1, n + 1) + Fraction(1, 10**6))]
+
+
+def compose_by_preimages(f: StepFunction, c, b) -> StepFunction:
+    """x -> f(c*x + b), zero where c*x + b leaves [0,1], from the preimages of
+    f's breakpoints clamped to [0,1]; c > 0."""
+    c = f.scalars(c)
+    b = f.scalars(b)
+    zero, one = f.scalars.zero, f.scalars.one
+    xs = [zero, *(min(max((t - b) / c, zero), one) for t in f.breakpoints), one]
+    vals = [zero, *f.values, zero]
+    cut = [zero]
+    kept = []
+    for x0, x1, v in zip(xs, xs[1:], vals):
+        if x1 > x0:
+            cut.append(x1)
+            kept.append(v)
+    return StepFunction(cut, kept)
+
+
+def assert_close_on_cells(got: StepFunction, oracle: StepFunction, rel=1e-13, width=1e-9):
+    """On every cell of the two functions' joint grid wider than ``width``, the
+    values differ by at most rel * (1 + sup|oracle|).  Float sums agree this
+    way, not piece for piece: slivers narrower than ``width`` may differ."""
+    bound = rel * (1 + oracle.sup_norm())
+    grid = sorted(set(got.breakpoints) | set(oracle.breakpoints))
+    for lo, hi in zip(grid, grid[1:]):
+        if hi - lo > width:
+            x = (lo + hi) / 2
+            gap = abs(got(x) - oracle(x))
+            assert gap <= bound, f"{gap} > {bound} on [{lo}, {hi})"

@@ -122,12 +122,12 @@ class TestCheck:
         assert len(captured.err.splitlines()) == 1
 
     def test_overflowing_density_fails_with_nan_deviation(self, tmp_path, capsys):
-        s = as_float_system(lebesgue_family(3))
-        path = write_system(tmp_path, EquippedSystem(s.a, StepFunction.constant(1e308), s.alpha1))
+        # at a = 1/2 the jump sizes -p/(1-a) of the translate sum overflow
+        path = write_system(tmp_path, EquippedSystem(0.5, StepFunction.constant(1.7e308), StepFunction.constant(0.5)))
         assert main(["check", path]) == 1
         out = capsys.readouterr().out
         assert "density_window_short: FAIL (deviation nan)" in out
-        assert "overall: FAIL (n=3, max deviation nan)" in out
+        assert "overall: FAIL (n=2, max deviation nan)" in out
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
@@ -315,6 +315,30 @@ class TestPushforward:
         text = csv.read_text()
         assert text.startswith("x_left,x_right,value")
         assert len(text.strip().splitlines()) == 4
+
+
+def _huge_exact_system(tmp_path):
+    """An exact system whose density value 10^400 has no float."""
+    huge = EquippedSystem(Fraction(1, 3), StepFunction.constant(Fraction(10**400)), StepFunction.constant(Fraction(1, 2)))
+    return write_system(tmp_path, huge)
+
+
+def _assert_outside_float_range(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a value is outside the float range\n"
+
+
+class TestFloatRange:
+    def test_pushforward_csv_of_huge_value_exits_two(self, tmp_path, capsys):
+        path = _huge_exact_system(tmp_path)
+        assert main(["pushforward", path, "--csv", "-"]) == 2
+        _assert_outside_float_range(capsys)
+
+    def test_simulate_huge_value_exits_two(self, tmp_path, capsys):
+        path = _huge_exact_system(tmp_path)
+        assert main(["simulate", path, "--seed", "1", "--samples", "10"]) == 2
+        _assert_outside_float_range(capsys)
 
 
 class TestSimulate:

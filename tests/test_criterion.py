@@ -10,8 +10,17 @@ from operator import add
 
 import pytest
 
-from conftest import JUMP_FORM_CASES, jump_form_systems, make_exact_step, make_exact_system, make_fraction_grid
+from conftest import (
+    JUMP_FORM_CASES,
+    assert_close_on_cells,
+    compose_by_preimages,
+    jump_form_systems,
+    make_exact_step,
+    make_exact_system,
+    make_fraction_grid,
+)
 from test_system import GOLDEN_A, golden_system
+from twoval import criterion
 from twoval.criterion import (
     InfeasibleError,
     _alpha_from_target,
@@ -23,7 +32,7 @@ from twoval.criterion import (
 from twoval.families import lebesgue_family, nonconstant_family
 from twoval.numerics import Surd
 from twoval.piecewise import StepFunction, combine
-from twoval.system import EquippedSystem, as_float_system, derive_n
+from twoval.system import EquippedSystem, as_float_system, derive_n, pushforward_density
 
 
 def float_golden_system(beta=1.0, gamma=0.0):
@@ -139,17 +148,22 @@ class TestLargeN:
 class TestLinearCost:
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_translates_linear_in_n(self, n, monkeypatch):
-        system = lebesgue_family(n)
         calls = []
+        jumps = []
         builds = []
         adds = []
         compose = StepFunction.compose_affine
+        sum_jumps = criterion.from_jumps
         init = StepFunction.__init__
         surd_add = Surd.__add__
 
         def counted(self, c, b):
             calls.append(None)
             return compose(self, c, b)
+
+        def counted_jumps(js, scalars):
+            jumps.append(len(js))
+            return sum_jumps(js, scalars)
 
         def counted_init(self, *args):
             builds.append(None)
@@ -160,21 +174,27 @@ class TestLinearCost:
             return surd_add(self, other)
 
         monkeypatch.setattr(StepFunction, "compose_affine", counted)
+        monkeypatch.setattr(criterion, "from_jumps", counted_jumps)
         monkeypatch.setattr(StepFunction, "__init__", counted_init)
         monkeypatch.setattr(Surd, "__add__", counted_add)
-        # one translate sum of O(n * pieces(p)) jumps for all three families
-        add_cap = 16 * (n + 1) * (len(system.density.values) + 1)
-        check_invariance_conditions(system)
-        assert len(calls) <= 2 * n + 1
-        assert len(builds) <= 4 * n + 4  # 2n+1 translates, their sum, A1, A1 - S, two per window
-        assert len(adds) <= add_cap
-        calls.clear()
-        builds.clear()
-        adds.clear()
-        solve_alpha1(system.a, system.density)
-        assert len(calls) <= 2 * n + 1
-        assert len(builds) <= 2 * n + 8
-        assert len(adds) <= add_cap
+        for system in (lebesgue_family(n), as_float_system(lebesgue_family(n))):
+            # one translate sum of the 2n+1 translates' jumps for all three families
+            jump_cap = (2 * n + 1) * (len(system.density.values) + 1)
+            add_cap = 16 * (n + 1) * (len(system.density.values) + 1)
+            for counters in (calls, jumps, builds, adds):
+                counters.clear()
+            check_invariance_conditions(system)
+            assert calls == []
+            assert len(jumps) == 1 and jumps[0] <= jump_cap
+            assert len(builds) <= 4 * n + 4  # S, A1, A1 - S and two per window, under the grid walk's bound
+            assert len(adds) <= add_cap
+            for counters in (calls, jumps, builds, adds):
+                counters.clear()
+            solve_alpha1(system.a, system.density)
+            assert calls == []
+            assert len(jumps) == 1 and jumps[0] <= jump_cap
+            assert len(builds) <= 2 * n + 8
+            assert len(adds) <= add_cap
 
     def test_lebesgue_320_under_half_a_second(self):
         system = lebesgue_family(320)
@@ -190,20 +210,32 @@ class TestLinearCost:
 def _identity_by_grid(a, n: int, p: StepFunction) -> StepFunction:
     """S as 2n+1 composed translates summed in one walk over their merged grid."""
     w = 1 - a
-    plus = [p.compose_affine(1, k * a) for k in range(-n, 1)]
-    minus = [p.compose_affine(1 / w, k * a / w) for k in range(-n, 0)]
+    plus = [compose_by_preimages(p, 1, k * a) for k in range(-n, 1)]
+    minus = [compose_by_preimages(p, 1 / w, k * a / w) for k in range(-n, 0)]
     split = len(plus)
     return combine(lambda *vs: reduce(add, vs[:split]) - reduce(add, vs[split:]) / w, *plus, *minus)
 
 
+def _statuses(system: EquippedSystem) -> list:
+    return [(c.name, c.vacuous, c.passed) for c in check_invariance_conditions(system).checks]
+
+
 class TestJumpForm:
-    """The translate sum S, built from jumps, against the grid walk over composed translates."""
+    """The translate sum S, built from jumps, against the grid walk over composed translates:
+    equal on exact systems; on their float copies, close on every cell wider
+    than 1e-9 and with the same verdict on every window."""
 
     @pytest.mark.parametrize("case", JUMP_FORM_CASES)
-    def test_translate_sum_matches_grid_walk(self, case):
+    def test_translate_sum_matches_grid_walk(self, case, monkeypatch):
         for system in jump_form_systems(case):
-            for s in (system, as_float_system(system)):
-                assert _identity(s.a, s.n, s.density) == _identity_by_grid(s.a, s.n, s.density)
+            s = system
+            assert _identity(s.a, s.n, s.density) == _identity_by_grid(s.a, s.n, s.density)
+            s = as_float_system(system)
+            assert_close_on_cells(_identity(s.a, s.n, s.density), _identity_by_grid(s.a, s.n, s.density))
+            statuses = _statuses(s)
+            with monkeypatch.context() as m:
+                m.setattr(criterion, "_identity", _identity_by_grid)
+                assert statuses == _statuses(s)
 
 
 def _oracle_deviations(system: EquippedSystem) -> list:
@@ -285,22 +317,52 @@ class TestFloatBackend:
         assert statuses(as_float_system(lebesgue_family(n))) == statuses(lebesgue_family(n))
 
     def test_nan_deviation_fails(self):
-        # p is finite, but its translate sums overflow: inf - inf is NaN.  In
-        # the second case the short window only overflows to inf, and the inf
-        # outside weight_identity[0]'s window is masked away, not turned into
-        # NaN: inside it the largest |value| is 5e307
-        s = as_float_system(lebesgue_family(3))
-        cases = [
-            (StepFunction.constant(1e308), math.nan, math.nan),
-            (StepFunction([0.0, 0.5, 1.0], [1.0, 1e308]), math.inf, math.inf),
-        ]
-        for density, short_deviation, max_deviation in cases:
-            report = check_invariance_conditions(EquippedSystem(s.a, density, s.alpha1))
+        # at a = 1/2 the minus translates' jump sizes 2*p overflow: a
+        # non-finite size makes the translate sum NaN from there on
+        cases = [StepFunction.constant(1.7e308), StepFunction([0.0, 0.5, 1.0], [1.0, 1.7e308])]
+        for density in cases:
+            report = check_invariance_conditions(EquippedSystem(0.5, density, StepFunction.constant(0.5)))
             assert not report.density_window_short.passed
-            assert repr(report.density_window_short.deviation) == repr(short_deviation)
-            assert repr(report.max_deviation) == repr(max_deviation)
+            assert repr(report.density_window_short.deviation) == repr(math.nan)
+            assert repr(report.max_deviation) == repr(math.nan)
             assert not report.passed
-        assert report.weight_identity[0].deviation == 5e307
+
+    def test_large_density_fails_with_finite_deviation(self):
+        # the translates of p = 1e308 overflow when summed in floats, but
+        # not in the exact running sum
+        s = as_float_system(lebesgue_family(3))
+        report = check_invariance_conditions(EquippedSystem(s.a, StepFunction.constant(1e308), s.alpha1))
+        assert not report.passed
+        assert math.isfinite(report.max_deviation) and report.max_deviation > 1e292
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: lebesgue_family(3),
+            lambda: nonconstant_family(3, 1, 2),
+            lambda: nonconstant_family(4, 2, 3),
+            lambda: jump_form_systems("ragged-8")[1],
+        ],
+        ids=["lebesgue-3", "nonconstant-3", "nonconstant-4", "ragged-8"],
+    )
+    def test_deviations_scale_exactly_with_the_density(self, build):
+        # scaling p by 2^1000 scales every sum of its jumps by 2^1000, and
+        # rounds the same; its largest value 2^1023 keeps each size finite
+        s = as_float_system(build())
+        p = s.density * (2.0**23 / s.density.max_value)
+        small = check_invariance_conditions(EquippedSystem(s.a, p, s.alpha1))
+        large = check_invariance_conditions(EquippedSystem(s.a, p * 2.0**1000, s.alpha1))
+        assert [c.deviation for c in large.checks] == [math.ldexp(c.deviation, 1000) for c in small.checks]
+
+    def test_density_beyond_double_range_sums_raise_nothing(self):
+        # sizes -p/(1-a) overflow and level sums pass the double range
+        density = StepFunction([0.0, 1 / 3, 2 / 3, 1.0], [1.7e308, 0.0, 1.7e308])
+        system = EquippedSystem(0.26, density, StepFunction.constant(0.5))
+        report = check_invariance_conditions(system)
+        assert not report.passed and math.isnan(report.max_deviation)
+        assert math.inf in pushforward_density(system).values
+        with pytest.raises(InfeasibleError):
+            solve_alpha1(system.a, density)
 
 
 class TestSolveAlpha1:

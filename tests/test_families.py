@@ -1,9 +1,11 @@
 """Closed-form families: invariance, masses, staircases, transfer fixed point."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import assert_close_on_cells, compose_by_preimages, make_float_step
 from twoval.criterion import check_invariance_conditions, invariance_defect, solve_alpha1
 from twoval.families import (
     lebesgue_family,
@@ -173,3 +175,13 @@ class TestRenyi:
         h = renyi_density()
         hf = StepFunction([float(t) for t in h.breakpoints], [float(v) for v in h.values])
         assert (renyi_transfer(hf) - hf).sup_norm() < 1e-15
+
+    def test_float_transfer_matches_composed_terms(self):
+        c = float(renyi_density().breakpoints[1])  # 1/beta
+        rng = random.Random("renyi-float")
+        h = renyi_density()
+        fs = [StepFunction([float(t) for t in h.breakpoints], [float(v) for v in h.values])]
+        fs += [make_float_step(rng, max_cuts=8, lo=0.0) for _ in range(12)]
+        for f in fs:
+            oracle = c * (compose_by_preimages(f, c, 0) + compose_by_preimages(f, c, c))
+            assert_close_on_cells(renyi_transfer(f), oracle)

@@ -9,11 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_exact_step, make_float_step
-from twoval.numerics import MixedBackendError, MixedRadicandError, ParseError, Surd
+from twoval.numerics import EXACT, FLOAT, MixedBackendError, MixedRadicandError, ParseError, Surd
 from twoval.piecewise import (
     NonpositiveSlopeError,
     StepFunction,
     combine,
+    from_jumps,
     step_from_json,
     step_to_csv,
     step_to_json,
@@ -257,6 +258,32 @@ class TestComposeAffine:
         g = f.compose_affine(0.5, 0.25)  # 0.5x + 0.25 in [0.25, 0.75]
         assert g.values == (2.0, 5.0)
         assert g.breakpoints == (0.0, 0.5, 1.0)
+
+
+class TestFromJumps:
+    def test_exact_levels_are_running_sums(self):
+        f = from_jumps([(H, Fraction(-3, 2)), (Fraction(-1, 3), 2), (Fraction(5, 4), 7), (Fraction(1, 4), 1)], EXACT)
+        assert f == StepFunction([0, Fraction(1, 4), H, 1], [2, 3, Fraction(3, 2)])
+
+    def test_float_matched_pair_restores_the_level_exactly(self):
+        # a float running sum gives 0.1 + 0.2 - 0.2 = 0.10000000000000003
+        f = from_jumps([(0.0, 0.1), (0.3, 0.2), (0.6, -0.2)], FLOAT)
+        assert f.values == (0.1, 0.1 + 0.2, 0.1)
+
+    def test_float_positions_within_snap_fuse(self):
+        jumps = [(1e-13, 1.0), (0.4, 2.0), (0.4 + 5e-13, 3.0), (0.4 + 9e-13, -1.0), (0.4 + 2e-12, 1.0), (1 - 5e-13, -6.0)]
+        f = from_jumps(jumps, FLOAT)
+        assert f.breakpoints == (0.0, 0.4, 0.4 + 2e-12, 1.0)
+        assert f.values == (1.0, 5.0, 6.0)
+
+    def test_float_level_beyond_double_range_is_inf(self):
+        f = from_jumps([(0.0, 1.7e308), (0.0, 1.7e308), (0.5, -1.7e308), (0.75, -1.7e308)], FLOAT)
+        assert f.values == (math.inf, 1.7e308, 0.0)
+
+    def test_float_non_finite_size_makes_the_rest_nan(self):
+        f = from_jumps([(0.0, 1.7e308), (0.0, 1.7e308), (0.5, math.inf), (0.75, -1.0)], FLOAT)
+        assert f.breakpoints == (0.0, 0.5, 1.0)
+        assert f.values[0] == math.inf and math.isnan(f.values[1])
 
 
 class TestMeasures:
