@@ -23,14 +23,12 @@ decides all three families.  With w = 1-a, let
 
     S(y) = sum_{k=-n..0} p(y+ka) - 1/w * sum_{k=-n..-1} p((y+ka)/w).
 
-A1 = S on each J_m: the k < -(m+1) terms vanish there, and the k = -n
-ones because (n+1)a > 1.  The full identity at x is S(x + (n-1)a), term
-for term.  The short one is S(x + (n-2)a), whose two extra k = -n terms
-vanish for x < 2a.  So the criterion builds S once, from the jumps of p:
-each translate moves them and scales their sizes, and one sort and one
-running sum over all of them give S in O(B log B) comparisons for
-B = O(n * pieces(p)) jumps.  The sum is exact on both backends; on the
-float backend each level is rounded once at the end.
+A1 = S on each J_m, where the k < -(m+1) terms vanish, and so do the
+k = -n ones as (n+1)a > 1.  The full identity at x is S(x + (n-1)a) and
+the short one S(x + (n-2)a), whose extra k = -n terms vanish for x < 2a.
+So the density identities say S = 0 on [na, 1) and [1-a, na), and the
+n+1 windows are consecutive on [a, 1): one walk over S and one over
+A1 - S read every sup.  S is one exact sum over the moved jumps of p.
 
 :func:`solve_alpha1` inverts the weight identity: given (a, p) it checks
 the two density identities, reads A1 off the windows, and divides by p.
@@ -41,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar
 from .piecewise import StepFunction, combine, from_jumps
@@ -114,49 +113,53 @@ def _tolerance(scalars: Backend, tol) -> Scalar:
     return tol
 
 
-def _window_check(name: str, f: StepFunction, lo, hi, shift, tol) -> ConditionCheck:
-    """The identity on [lo, hi), read off f on [lo + shift, hi + shift)."""
-    if not hi - lo > f.scalars.snap:
-        lo = min(lo, hi)
-        return ConditionCheck(name, Interval(lo, lo), 0, True, True)
-    dev = f.mask(lo + shift, hi + shift).sup_norm()
+def _window_check(name: str, lo, hi, dev, tol, scalars: Backend) -> ConditionCheck:
+    """The identity on [lo, hi) with deviation ``dev``; vacuous, at zero, if no wider than the snap distance."""
+    if not hi - lo > scalars.snap:
+        return ConditionCheck(name, Interval(min(lo, hi), min(lo, hi)), scalars.zero, True, True)
     return ConditionCheck(name, Interval(lo, hi), dev, dev <= tol, False)
 
 
-def _density_checks(a, n: int, s: StepFunction, tol) -> tuple[ConditionCheck, ConditionCheck]:
-    split = 1 - (n - 1) * a  # the two windows meet here
-    full = _window_check(FULL_WINDOW, s, a, split, (n - 1) * a, tol)
-    short = _window_check(SHORT_WINDOW, s, split, 2 * a, (n - 2) * a, tol)
-    return full, short
+def _sups(f: StepFunction, cuts: list) -> list:
+    """The sup of |f| on each window [cuts[k], cuts[k+1]), in one walk over f.
+    A piece counts where it ends past lo + snap and starts before hi - snap:
+    where it overlaps the window by more than the snap distance, as pieces of
+    S and A1 - S are wider than that.  A NaN on a counted piece makes the sup
+    NaN, and no counted piece makes it zero."""
+    bps, vals, snap = f.breakpoints, f.values, f.scalars.snap
+    i, sups = 0, []
+    for lo, hi in zip(cuts, cuts[1:]):
+        while i < len(vals) - 1 and bps[i + 1] - lo <= snap:
+            i += 1
+        devs = [abs(vals[j]) for j in takewhile(lambda j: hi - bps[j] > snap, range(i, len(vals)))]
+        sups.append(math.nan if f.is_float and any(map(math.isnan, devs)) else max(devs, default=f.scalars.zero))
+    return sups
+
+
+def _checks(a, n: int, s: StepFunction, tol, weight_first=None) -> list:
+    """The full and short density checks, read off S, then given A1 the weight checks, read off A1 - S."""
+    split = 1 - (n - 1) * a  # the two density windows meet here
+    windows = [(FULL_WINDOW, a, split), (SHORT_WINDOW, split, 2 * a)]
+    devs = _sups(s, [1 - a, n * a, 1])[::-1]  # S on [na, 1), then on [1-a, na)
+    if weight_first is not None:
+        cuts = [k * a for k in range(1, n)] + [1 - a]
+        windows += [(f"{WEIGHT_IDENTITY}[{m}]", lo, hi) for m, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+        devs += _sups(weight_first - s, cuts)
+    return [_window_check(name, lo, hi, dev, tol, s.scalars) for (name, lo, hi), dev in zip(windows, devs)]
 
 
 def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionReport:
     """Evaluate every window identity for the equipped system.
 
-    With ``tol`` omitted, exact systems must satisfy the identities
-    exactly and float systems up to sup-deviation 1e-10.  A given ``tol``
-    must be >= 0 and on the system's backend.
+    ``tol`` (>= 0, on the system's backend) defaults to 0 on exact systems
+    and to sup-deviation 1e-10 on float ones.
     """
-    a = system.a
-    n = system.n
+    a, n = system.a, system.n
     tol = _tolerance(system.density.scalars, tol)
-    s = _identity(a, n, system.density)
-    full, short = _density_checks(a, n, s, tol)
-    diff = system.weight_first - s
-    weight_checks = tuple(
-        _window_check(f"{WEIGHT_IDENTITY}[{m}]", diff, (m + 1) * a, (m + 2) * a if m < n - 2 else 1 - a, 0, tol)
-        for m in range(n - 1)
-    )
-    checks = [full, short, *weight_checks]
+    checks = _checks(a, n, _identity(a, n, system.density), tol, system.weight_first)
     devs = [c.deviation for c in checks]
-    return ConditionReport(
-        n=n,
-        passed=all(c.passed for c in checks),
-        max_deviation=max(devs) if all(d == d for d in devs) else math.nan,  # max() can skip a NaN
-        density_window_full=full,
-        density_window_short=short,
-        weight_identity=weight_checks,
-    )
+    max_deviation = max(devs) if all(d == d for d in devs) else math.nan  # max() can skip a NaN
+    return ConditionReport(n, all(c.passed for c in checks), max_deviation, *checks[:2], tuple(checks[2:]))
 
 
 def invariance_defect(system: EquippedSystem) -> StepFunction:
@@ -204,10 +207,7 @@ def solve_alpha1(a, density: StepFunction, *, fill=0, tol=None) -> EquippedSyste
     n = derive_n(a)
     tol = _tolerance(density.scalars, tol)
     s = _identity(a, n, density)
-    full, short = _density_checks(a, n, s, tol)
-    if not full.passed:
-        raise InfeasibleError(FULL_WINDOW, full.deviation)
-    if not short.passed:
-        raise InfeasibleError(SHORT_WINDOW, short.deviation)
-    alpha1 = _alpha_from_target(a, density, s, fill, tol)
-    return EquippedSystem(a, density, alpha1)
+    for check in _checks(a, n, s, tol):  # full, then short
+        if not check.passed:
+            raise InfeasibleError(check.name, check.deviation)
+    return EquippedSystem(a, density, _alpha_from_target(a, density, s, fill, tol))

@@ -27,9 +27,15 @@ from .piecewise import StepFunction, from_jumps
 from .system import EquippedSystem, check_fill
 
 
+#: the largest n a family is built for; lebesgue_family(_MAX_N) checks in about a second
+_MAX_N = 10**4
+
+
 def _check_n(n: int) -> None:
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > _MAX_N:
+        raise ValueError(f"need n <= {_MAX_N}, got {n}")
 
 
 def _family_parameter(n: int) -> Surd:

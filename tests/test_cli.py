@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import twoval
+from twoval import families
 from twoval.cli import main
 from twoval.families import lebesgue_family, nonconstant_family, renyi_system
 from twoval.numerics import parse_scalar
@@ -79,6 +80,16 @@ class TestFamily:
         # the golden family lives in Q(sqrt(5))
         assert main(["family", "nonconstant", "--n", "2", "--beta", "sqrt(2)"]) == 2
         assert capsys.readouterr().err == "error: cannot combine sqrt(2) with sqrt(5)\n"
+
+    @pytest.mark.parametrize("kind", [["lebesgue"], ["nonconstant", "--beta", "1", "--gamma", "2"]])
+    def test_n_above_cap_exits_two(self, kind, capsys):
+        n = families._MAX_N + 1
+        t0 = time.perf_counter()
+        assert main(["family", kind[0], "--n", str(n), *kind[1:]]) == 2
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need n <= {families._MAX_N}, got {n}\n"
 
     def test_missing_n_is_usage_error(self, capsys):
         assert main(["family", "lebesgue"]) == 2

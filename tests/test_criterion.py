@@ -30,7 +30,7 @@ from twoval.criterion import (
     solve_alpha1,
 )
 from twoval.families import lebesgue_family, nonconstant_family
-from twoval.numerics import Surd
+from twoval.numerics import Interval, Surd
 from twoval.piecewise import StepFunction, combine
 from twoval.system import EquippedSystem, as_float_system, derive_n, pushforward_density
 
@@ -186,14 +186,14 @@ class TestLinearCost:
             check_invariance_conditions(system)
             assert calls == []
             assert len(jumps) == 1 and jumps[0] <= jump_cap
-            assert len(builds) <= 4 * n + 4  # S, A1, A1 - S and two per window, under the grid walk's bound
+            assert len(builds) <= 3  # S, A1 and A1 - S; the windows are read off them in one walk each
             assert len(adds) <= add_cap
             for counters in (calls, jumps, builds, adds):
                 counters.clear()
             solve_alpha1(system.a, system.density)
             assert calls == []
             assert len(jumps) == 1 and jumps[0] <= jump_cap
-            assert len(builds) <= 2 * n + 8
+            assert len(builds) <= 3  # S, then alpha1 through one indicator and one combine
             assert len(adds) <= add_cap
 
     def test_lebesgue_320_under_half_a_second(self):
@@ -205,6 +205,15 @@ class TestLinearCost:
         t2 = time.perf_counter()
         assert t1 - t0 < 0.5
         assert t2 - t1 < 0.5
+
+    def test_failing_lebesgue_320_under_a_fifth_of_a_second(self):
+        # alpha1 = 1/2 misses the staircase on every window, so A1 - S has O(n) pieces
+        system = lebesgue_family(320)
+        bad = EquippedSystem(system.a, system.density, StepFunction.constant(Fraction(1, 2)))
+        t0 = time.perf_counter()
+        report = check_invariance_conditions(bad)
+        assert time.perf_counter() - t0 < 0.2
+        assert sum(not c.passed for c in report.checks) == system.n - 2  # every J_m but the empty last one
 
 
 def _identity_by_grid(a, n: int, p: StepFunction) -> StepFunction:
@@ -236,6 +245,66 @@ class TestJumpForm:
             with monkeypatch.context() as m:
                 m.setattr(criterion, "_identity", _identity_by_grid)
                 assert statuses == _statuses(s)
+
+
+def _checks_by_masks(system: EquippedSystem) -> list:
+    """(name, window, deviation, passed, vacuous) of every check, each window
+    read as the sup of S or A1 - S masked to it: the density windows on S
+    shifted by (n-1)a and (n-2)a, the J_m on A1 - S where they lie."""
+    a, n, b = system.a, system.n, system.density.scalars
+    s = _identity(a, n, system.density)
+    diff = system.weight_first - s
+    split = 1 - (n - 1) * a
+    windows = [("density_window_full", s, a, split, (n - 1) * a), ("density_window_short", s, split, 2 * a, (n - 2) * a)]
+    windows += [
+        (f"weight_identity[{m}]", diff, (m + 1) * a, (m + 2) * a if m < n - 2 else 1 - a, 0) for m in range(n - 1)
+    ]
+    out = []
+    for name, f, lo, hi, shift in windows:
+        if not hi - lo > b.snap:
+            out.append((name, Interval(min(lo, hi), min(lo, hi)), b.zero, True, True))
+            continue
+        dev = f.mask(lo + shift, hi + shift).sup_norm()
+        out.append((name, Interval(lo, hi), dev, dev <= b.tol, False))
+    return out
+
+
+def _failing_copies(system: EquippedSystem) -> list:
+    """The system with alpha1 = 1/2, and with its middle density piece raised by 1/7."""
+    p = system.density
+    values = list(p.values)
+    values[len(values) // 2] += Fraction(1, 7)
+    return [
+        EquippedSystem(system.a, p, StepFunction.constant(Fraction(1, 2))),
+        EquippedSystem(system.a, StepFunction(p.breakpoints, values), system.alpha1),
+    ]
+
+
+class TestOneWalk:
+    """Every window read in one walk over S and one over A1 - S, against a mask per window."""
+
+    @pytest.mark.parametrize("case", JUMP_FORM_CASES)
+    def test_checks_match_masks(self, case):
+        failing = 0
+        for system in jump_form_systems(case):
+            for s in [system, *_failing_copies(system)]:
+                for t in (s, as_float_system(s)):
+                    report = check_invariance_conditions(t)
+                    assert [(c.name, c.window, c.deviation, c.passed, c.vacuous) for c in report.checks] == (
+                        _checks_by_masks(t)
+                    )
+                    failing += not report.passed
+        assert failing >= 2 * len(jump_form_systems(case))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_deviation_is_on_the_backend(self, n):
+        # at a = 1/n the full window and the last J_m are empty: vacuous
+        system = lebesgue_family(n)
+        for s, kind in ((system, Surd), (as_float_system(system), float)):
+            report = check_invariance_conditions(s)
+            assert any(c.vacuous for c in report.checks)
+            assert all(type(c.deviation) is kind for c in report.checks)
+            assert type(report.max_deviation) is kind
 
 
 def _oracle_deviations(system: EquippedSystem) -> list:
