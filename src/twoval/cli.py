@@ -23,12 +23,7 @@ import sys
 from fractions import Fraction
 
 from .criterion import InfeasibleError, check_invariance_conditions, solve_alpha1
-from .expansion import (
-    BudgetExceededError,
-    enumerate_expansions,
-    evaluate_expansion,
-    orbit_expansion,
-)
+from .expansion import BudgetExceededError, enumerate_walk, orbit_walk, value_from_tail
 from .families import lebesgue_family, nonconstant_family, renyi_system
 from .numerics import MixedRadicandError, ParseError, format_scalar, parse_scalar
 from .piecewise import step_from_json_dict, step_to_csv, step_to_json
@@ -164,16 +159,23 @@ def cmd_expand(args) -> int:
     x = parse_scalar(args.x)
     beta = parse_scalar(args.beta)
     if args.all:
-        words = enumerate_expansions(x, beta, args.length, max_words=args.max_words)
+        walked = enumerate_walk(x, beta, args.length, max_words=args.max_words)
     else:
         rule = None if args.rule == "greedy" else "lazy"
-        words = [orbit_expansion(x, beta, args.length, choose=rule)]
-    for w in words:
-        text = "".join(map(str, w))
-        if args.values:
-            print(f"{text} {format_scalar(evaluate_expansion(w, beta))}")
-        else:
-            print(text)
+        walked = [orbit_walk(x, beta, args.length, choose=rule)]
+    if args.values:
+        value = value_from_tail(x, beta, args.length)
+        texts: dict = {}  # tail state -> the value of the words ending there
+        lines = []
+        for w, y in walked:
+            text = texts.get(y)
+            if text is None:
+                text = texts[y] = format_scalar(value(w, y))
+            lines.append(f"{''.join(map(str, w))} {text}\n")
+    else:
+        lines = ["".join(map(str, w)) + "\n" for w, _ in walked]
+    # written whole, so a value that cannot be formatted leaves stdout empty
+    sys.stdout.write("".join(lines))
     return 0
 
 

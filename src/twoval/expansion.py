@@ -21,6 +21,16 @@ Pisot base and x in its field only finitely many states are reachable
 (Schmidt 1980), and the cost follows states times length rather than the
 number of words.
 
+A walk of L digits from x that reads the word w and ends on tail state y_L has
+
+    x = value(w) + beta^(-L) * y_L,
+
+exactly, since every step y -> beta*y - sigma is undone by the division
+in value(w).  ``twoval expand --values`` reads word values off it: one
+power of beta per call, then one multiply and one subtract per distinct
+tail state, not one Horner pass per word.  On exact bases the values are
+exact; on float bases they carry rounding like any float sum.
+
 The point and the base share one backend.  Exact bases give exact
 orbits; float bases widen each threshold by the float snap distance so that
 states grazing it through rounding keep the digits the exact orbit would
@@ -62,15 +72,24 @@ def evaluate_expansion(digits, beta) -> Scalar:
     return acc
 
 
-def orbit_expansion(x, beta, length: int, choose=None) -> tuple:
-    """The word of ``length`` digits read off the orbit, with a pluggable rule
-    at crossover states.
+def value_from_tail(x, beta, length: int):
+    """The map (w, y) -> x - y*beta^(-length): the value of the word w of that
+    length whose walk from x ends on tail state y.
 
-    ``choose`` may be None (prefer 1: greedy), "lazy" (prefer 0), or a
-    callable ``(k, options) -> digit`` receiving the admissible digits in
-    ascending order.  A callable returning anything else raises
-    InadmissibleChoiceError.
+    The all-zero word is worth exactly zero; on floats the subtraction would
+    leave rounding residue there, of either sign.
     """
+    b = backend_of(x, beta)
+    x, scale = b(x), b(beta) ** -length
+
+    def value(word, y):
+        return x - y * scale if any(word) else b.zero
+
+    return value
+
+
+def orbit_walk(x, beta, length: int, choose=None) -> tuple:
+    """The walk behind ``orbit_expansion``: its word and the tail state it ends on."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     if choose is not None and choose != "lazy" and not callable(choose):
@@ -102,7 +121,19 @@ def orbit_expansion(x, beta, length: int, choose=None) -> tuple:
         if is_float:
             x = min(max(x, 0.0), 1.0)
         digits.append(d)
-    return tuple(digits)
+    return tuple(digits), x
+
+
+def orbit_expansion(x, beta, length: int, choose=None) -> tuple:
+    """The word of ``length`` digits read off the orbit, with a pluggable rule
+    at crossover states.
+
+    ``choose`` may be None (prefer 1: greedy), "lazy" (prefer 0), or a
+    callable ``(k, options) -> digit`` receiving the admissible digits in
+    ascending order.  A callable returning anything else raises
+    InadmissibleChoiceError.
+    """
+    return orbit_walk(x, beta, length, choose)[0]
 
 
 def greedy_expansion(x, beta, length: int) -> tuple:
@@ -110,14 +141,9 @@ def greedy_expansion(x, beta, length: int) -> tuple:
     return orbit_expansion(x, beta, length)
 
 
-def enumerate_expansions(x, beta, length: int, max_words: int = 4096) -> list:
-    """All normal-form words of the given length that can start an expansion of x.
-
-    Words come out as tuples in decreasing lexicographic order, so the first
-    one is the greedy word.  Each word w satisfies
-    0 <= x - value(w) <= tail/beta^length with tail = 1/(beta-1).
-    Raises BudgetExceededError beyond ``max_words`` words.
-    """
+def enumerate_walk(x, beta, length: int, max_words: int = 4096) -> list:
+    """The walk behind ``enumerate_expansions``: its words, in its order, each
+    paired with the tail state it ends on."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     if max_words < 1:
@@ -147,6 +173,17 @@ def enumerate_expansions(x, beta, length: int, max_words: int = 4096) -> list:
         # every state admits a digit, so layers never shrink
         if sum(map(len, layer.values())) > max_words:
             raise BudgetExceededError(f"more than {max_words} words")
-    codes = sorted((c for cs in layer.values() for c in cs), reverse=True)
+    state = {c: y for y, cs in layer.items() for c in cs}
     # a leading 1 bit keeps the word's leading zeros
-    return [tuple(map(int, format(c | 1 << length, "b")[1:])) for c in codes]
+    return [(tuple(map(int, format(c | 1 << length, "b")[1:])), state[c]) for c in sorted(state, reverse=True)]
+
+
+def enumerate_expansions(x, beta, length: int, max_words: int = 4096) -> list:
+    """All normal-form words of the given length that can start an expansion of x.
+
+    Words come out as tuples in decreasing lexicographic order, so the first
+    one is the greedy word.  Each word w satisfies
+    0 <= x - value(w) <= tail/beta^length with tail = 1/(beta-1).
+    Raises BudgetExceededError beyond ``max_words`` words.
+    """
+    return [w for w, _ in enumerate_walk(x, beta, length, max_words)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -379,6 +380,13 @@ _FLOAT_MARK = re.compile(r"[.eE]")
 _TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
 _SURD_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)")
 _RATIONAL_TERM = re.compile(r"[+-]?\d+(?:/\d+)?")
+_DIGITS = re.compile(r"\d+")
+
+
+def _digit_limit() -> str:
+    """Why an integer past the interpreter's digit limit cannot be read or written."""
+    limit = sys.get_int_max_str_digits()
+    return f"number too large: an integer of more than {limit} digits cannot be read or written as text"
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -398,6 +406,9 @@ def parse_scalar(text: str) -> Scalar:
         if not math.isfinite(v):
             raise ParseError(f"non-finite scalar {text!r}")
         return v
+    limit = sys.get_int_max_str_digits()
+    if limit and len(s) > limit and any(len(run) > limit for run in _DIGITS.findall(s)):
+        raise ParseError(_digit_limit())
     total = EXACT.zero
     pos = 0
     try:
@@ -432,13 +443,16 @@ def format_scalar(x: Scalar) -> str:
     if isinstance(x, float):
         return repr(x)
     x = EXACT(x)
-    if not x.q1:
-        return str(x.q0)
-    if not x.q0:
-        return f"{x.q1}*sqrt({x.d})"
-    if x.q1 < 0:
-        return f"{x.q0} - {-x.q1}*sqrt({x.d})"
-    return f"{x.q0} + {x.q1}*sqrt({x.d})"
+    try:
+        if not x.q1:
+            return str(x.q0)
+        if not x.q0:
+            return f"{x.q1}*sqrt({x.d})"
+        if x.q1 < 0:
+            return f"{x.q0} - {-x.q1}*sqrt({x.d})"
+        return f"{x.q0} + {x.q1}*sqrt({x.d})"
+    except ValueError:  # str() of an int past the digit limit
+        raise ValueError(_digit_limit()) from None
 
 
 class Interval:

@@ -15,7 +15,8 @@ import twoval
 from twoval import families
 from twoval.cli import main
 from twoval.families import lebesgue_family, nonconstant_family, renyi_system
-from twoval.numerics import parse_scalar
+from twoval.expansion import evaluate_expansion
+from twoval.numerics import format_scalar, parse_scalar
 from twoval.piecewise import StepFunction, step_from_json, step_to_json_dict
 from twoval.simulate import read_sample_file
 from twoval.system import (
@@ -463,6 +464,93 @@ class TestExpand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+
+#: exact bases for the --values oracle; each also runs as its float copy
+ORACLE_BASES = ["1/2 + 1/2*sqrt(5)", "9/5", "3/2", "2", "sqrt(2)"]
+
+
+class TestValuesOracle:
+    """Every ``--values`` line, read off the walk's tail state, equals the
+    Horner value ``evaluate_expansion(word, beta)``: exactly on exact bases,
+    within 1e-12 relative on their float copies."""
+
+    @staticmethod
+    def _run(capsys, argv, x, beta, as_float):
+        if as_float:
+            x, beta = float(x), float(beta)
+        code = main(["expand", "--x", format_scalar(x), "--beta", format_scalar(beta), "--values", *argv])
+        lines = [line.split(" ", 1) for line in capsys.readouterr().out.splitlines()]
+        if code == 0:
+            for word, text in lines:
+                want = evaluate_expansion(word, beta)
+                if as_float:
+                    assert abs(float(text) - want) <= 1e-12 * abs(want), word
+                else:
+                    assert text == format_scalar(want), word
+        return code, len(lines)
+
+    @pytest.mark.parametrize("as_float", [False, True], ids=["exact", "float"])
+    @pytest.mark.parametrize("rule", ["greedy", "lazy"])
+    @pytest.mark.parametrize("base", ORACLE_BASES)
+    def test_orbit_rules(self, base, rule, as_float, capsys):
+        beta = parse_scalar(base)
+        # at golden, beta - 1 starts on the crossover, where greedy and lazy part
+        for x in (Fraction(29, 64), beta - 1):
+            for length in range(31):
+                assert self._run(capsys, ["--length", str(length), "--rule", rule], x, beta, as_float) == (0, 1)
+        assert self._run(capsys, ["--length", "2000", "--rule", rule], Fraction(29, 64), beta, as_float) == (0, 1)
+
+    @pytest.mark.parametrize("as_float", [False, True], ids=["exact", "float"])
+    @pytest.mark.parametrize("base", ORACLE_BASES)
+    def test_all_words(self, base, as_float, capsys):
+        beta = parse_scalar(base)
+        budget = ["--all", "--max-words", "128"]
+        reached = -1
+        for length in range(31):
+            code, words = self._run(capsys, budget + ["--length", str(length)], Fraction(29, 64), beta, as_float)
+            if code == 1:  # past the word budget; longer words only grow in number
+                break
+            assert code == 0 and words >= 1
+            reached = length
+        # 3/2 and sqrt(2) overlap most: their words pass the budget first
+        assert reached >= 12
+
+    def test_all_words_at_base_two_length_2000(self, capsys):
+        for as_float in (False, True):
+            assert self._run(capsys, ["--all", "--length", "2000"], Fraction(1, 3), Fraction(2), as_float) == (0, 1)
+
+    def test_tiny_point_keeps_the_zero_word_at_zero(self, capsys):
+        # on floats, x - y*beta^(-L) leaves rounding residue of either sign
+        assert main(["expand", "--all", "--values", "--x", "1e-5", "--beta", "1.8", "--length", "12"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "0" * 12 + " 0.0"
+
+
+class TestDigitLimit:
+    """Integers past the interpreter's limit on integer text exit 2 in twoval's words."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--x", "1/3", "--beta", "2", "--length", "15000", "--values"],
+            ["--x", "1/3", "--beta", "9/5", "--length", "7000", "--values"],
+            ["--x", "1/" + "7" * 5000, "--beta", "2", "--length", "5"],
+            ["--x", "1/2", "--beta", "1 + " + "1" * 5000 + "/" + "1" * 5001 + "*sqrt(5)"],
+        ],
+        ids=["write-base-2", "write-base-9/5", "read-x", "read-beta"],
+    )
+    def test_exits_two_with_one_line(self, argv, capsys):
+        assert main(["expand", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
+        assert "sys." not in captured.err
+
+    def test_integers_at_the_limit_still_parse(self):
+        digits = "7" * sys.get_int_max_str_digits()
+        assert parse_scalar("1/" + digits) == Fraction(1, int(digits))
 
 
 class TestMixedRadicands:

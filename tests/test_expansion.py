@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoval.cli import main
 from twoval.expansion import (
     BudgetExceededError,
     InadmissibleChoiceError,
@@ -306,6 +307,26 @@ class TestEnumerate:
         assert len(words) == 512
         # five reachable tail states, one multiplication each per digit
         assert calls <= 8 * 28
+
+    def test_cli_values_are_read_off_tail_states(self, monkeypatch, capsys):
+        calls = 0
+
+        def counted(op):
+            def wrapped(self, other):
+                nonlocal calls
+                calls += 1
+                return op(self, other)
+
+            return wrapped
+
+        monkeypatch.setattr(Surd, "__mul__", counted(Surd.__mul__))
+        monkeypatch.setattr(Surd, "__truediv__", counted(Surd.__truediv__))
+        argv = ["expand", "--all", "--values", "--x", "29/64", "--beta", "1/2 + 1/2*sqrt(5)", "--length", "24"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 325
+        # the walk, one power of beta and one multiply per distinct tail state;
+        # a Horner pass per word takes 325 * 24 divisions here
+        assert calls <= 8 * 24 + 64
 
     def test_random_points_bound_and_greedy_head(self):
         rng = random.Random(9)

@@ -194,6 +194,19 @@ class TestRunChain:
         assert np.array_equal(rep.initial.bin_masses, want.bin_masses)
         assert rep.initial.ks_statistic == want.ks_statistic
 
+    def test_every_step_distance_is_its_full_report_l1(self):
+        # a k-step chain is the first k steps of a longer one, and its last
+        # step gets the full report, so each kept L1 figure is checked
+        fs = as_float_system(golden_system())
+        longest = run_chain(fs, 5_000, 4, seed=45, bins=30)
+        for k in range(1, 5):
+            rep = run_chain(fs, 5_000, k, seed=45, bins=30)
+            full = histogram_report(rep.final_values, fs.density, bins=30)
+            assert rep.step_distances == longest.step_distances[:k]
+            assert rep.step_distances[-1] == full.l1_distance_to_reference
+            assert rep.final.ks_statistic == full.ks_statistic
+            assert np.array_equal(rep.final.bin_masses, full.bin_masses)
+
     def test_half_parameter_short_chain_smoke(self):
         sys = EquippedSystem(0.5, StepFunction.constant(1.0), StepFunction.constant(0.3))
         rep = run_chain(sys, 50_000, 5, seed=47)
