@@ -25,7 +25,7 @@ from fractions import Fraction
 from .criterion import InfeasibleError, check_invariance_conditions, solve_alpha1
 from .expansion import BudgetExceededError, enumerate_walk, orbit_walk, value_from_tail
 from .families import lebesgue_family, nonconstant_family, renyi_system
-from .numerics import MixedRadicandError, ParseError, format_scalar, parse_scalar
+from .numerics import MixedRadicandError, ParseError, format_scalar, parse_scalar, read_json
 from .piecewise import step_from_json_dict, step_to_csv, step_to_json
 from .system import (
     as_float_system,
@@ -58,7 +58,8 @@ def _scalar_option(flag: str, text, is_float: bool):
         x = parse_scalar(text) if "sqrt" in text else Fraction(text.replace(" ", ""))
         return float(x) if is_float else x
     except (ValueError, ArithmeticError):
-        raise ValueError(f"{flag} needs a finite number, got {text!r}") from None
+        shown = text if len(text) <= 40 else text[:40] + "…"
+        raise ValueError(f"{flag} needs a finite number, got {shown!r}") from None
 
 
 def cmd_family(args) -> int:
@@ -94,10 +95,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve_alpha(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        try:
-            d = json.loads(fh.read())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON in {args.input}: {exc}") from exc
+        d = read_json(fh.read())
     if not isinstance(d, dict):
         raise ParseError(f"{args.input} needs a JSON object with keys 'a' and 'p'")
     try:
@@ -237,9 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first call to main, then shared by every later call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleError as exc:
@@ -248,7 +251,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, json.JSONDecodeError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

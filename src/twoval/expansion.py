@@ -103,17 +103,20 @@ def orbit_walk(x, beta, length: int, choose=None) -> tuple:
     digits = []
     for k in range(length):
         bx = beta * x
-        options = []
-        if bx <= below:
-            options.append(0)
-        if bx >= above:
-            options.append(1)
+        # above <= below, so past below only 1 is admissible; on the exact
+        # backend both are 1, and up to 1 an equality test decides bx >= 1
+        if not bx <= below:
+            options = (1,)
+        elif bx >= above if is_float else bx == above:
+            options = (0, 1)
+        else:
+            options = (0,)
         if choose is None:
             d = options[-1]
         elif choose == "lazy":
             d = options[0]
         else:
-            d = choose(k, tuple(options))
+            d = choose(k, options)
             if d not in options:
                 raise InadmissibleChoiceError(f"digit {d!r} not admissible at step {k}")
             d = int(d)  # an equal bool or float choice still yields an int digit

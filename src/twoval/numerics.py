@@ -22,6 +22,7 @@ computed points are one (0 exact, 1e-12 float).
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -387,6 +388,16 @@ def _digit_limit() -> str:
     """Why an integer past the interpreter's digit limit cannot be read or written."""
     limit = sys.get_int_max_str_digits()
     return f"number too large: an integer of more than {limit} digits cannot be read or written as text"
+
+
+def read_json(text: str):
+    """``json.loads`` with its failures as ParseError, in twoval's words."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError:  # int() of a number literal past the digit limit
+        raise ParseError(_digit_limit()) from None
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -29,6 +29,7 @@ from .numerics import (
     backend_of,
     format_scalar,
     parse_scalar,
+    read_json,
 )
 
 
@@ -447,11 +448,7 @@ def step_to_json(f: StepFunction) -> str:
 
 
 def step_from_json(text: str) -> StepFunction:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return step_from_json_dict(d)
+    return step_from_json_dict(read_json(text))
 
 
 def step_to_csv(f: StepFunction) -> str:

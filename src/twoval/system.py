@@ -25,6 +25,7 @@ from .numerics import (
     Scalar,
     format_scalar,
     parse_scalar,
+    read_json,
 )
 from .piecewise import StepFunction, from_jumps, step_from_json_dict, step_to_json_dict
 
@@ -216,8 +217,4 @@ def system_to_json(system: EquippedSystem) -> str:
 
 
 def system_from_json(text: str) -> EquippedSystem:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return system_from_json_dict(d)
+    return system_from_json_dict(read_json(text))

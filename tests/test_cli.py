@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 import twoval
-from twoval import families
-from twoval.cli import main
+from twoval import cli, families
+from twoval.cli import build_parser, main
 from twoval.families import lebesgue_family, nonconstant_family, renyi_system
 from twoval.expansion import evaluate_expansion
 from twoval.numerics import format_scalar, parse_scalar
@@ -76,6 +77,19 @@ class TestFamily:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    def test_long_bad_value_is_cut_in_the_message(self, capsys):
+        assert main(["family", "lebesgue", "--n", "3", "--fill", "1/" + "3" * 5000 + "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert len(captured.err) < 200
+        assert captured.err.startswith("error: --fill needs a finite number, got '1/333")
+        assert captured.err.endswith("…'\n")
+
+    def test_short_bad_value_is_echoed_whole(self, capsys):
+        assert main(["family", "lebesgue", "--n", "3", "--fill", "x" * 40]) == 2
+        assert capsys.readouterr().err == f"error: --fill needs a finite number, got {'x' * 40!r}\n"
 
     def test_weight_in_another_field_exits_two(self, capsys):
         # the golden family lives in Q(sqrt(5))
@@ -553,6 +567,34 @@ class TestDigitLimit:
         assert parse_scalar("1/" + digits) == Fraction(1, int(digits))
 
 
+class TestJsonDigitLimit:
+    """A JSON number literal past the digit limit exits 2 in twoval's words."""
+
+    @pytest.mark.parametrize("command", ["check", "pushforward", "solve-alpha"])
+    def test_exits_two_with_one_line(self, command, tmp_path, capsys):
+        p = step_to_json_dict(StepFunction.constant(1))
+        p["values"] = ["@"]
+        d = {"a": "1/3", "p": p} if command == "solve-alpha" else {**system_to_json_dict(lebesgue_family(3)), "p": p}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(d).replace('"@"', "1" * 5000), encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (
+            f"parse error: number too large: an integer of more than {limit} digits cannot be read or written as text\n"
+        )
+
+    def test_garbage_task_names_the_json_error(self, tmp_path, capsys):
+        path = tmp_path / "task.json"
+        path.write_text('{"a": "1/3", "p": [', encoding="utf-8")
+        assert main(["solve-alpha", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: invalid JSON: ")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestMixedRadicands:
     """Scalars over sqrt(2), sqrt(3) and sqrt(5) in one command are bad input, not a crash."""
 
@@ -593,6 +635,80 @@ def _child_env() -> dict:
     interpreter imports the code under test without an install."""
     paths = [str(Path(twoval.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process and reuses it on every call."""
+
+    def test_twenty_calls_build_one_parser(self, tmp_path, monkeypatch, capsys):
+        system = write_system(tmp_path, lebesgue_family(3))
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"a": "1/4", "p": step_to_json_dict(StepFunction.constant(1))}), encoding="utf-8")
+        calls = [
+            ["family", "renyi"],
+            ["family", "lebesgue", "--n", "3"],
+            ["family", "nonconstant", "--n", "2"],
+            ["check", system],
+            ["check", system, "--tol", "1/10"],
+            ["solve-alpha", str(task)],
+            ["solve-alpha", str(task), "--fill", "1"],
+            ["pushforward", system],
+            ["pushforward", system, "--csv", str(tmp_path / "q.csv")],
+            ["simulate", system, "--samples", "100", "--seed", "1"],
+            ["simulate", system, "--samples", "100", "--seed", "2", "--steps", "1"],
+            ["expand", "--x", "1/2", "--beta", "2"],
+            ["expand", "--x", "1/2", "--beta", "2", "--rule", "lazy"],
+            ["expand", "--x", "1/2", "--beta", "2", "--all", "--length", "4"],
+            ["expand", "--x", "1/2", "--beta", "2", "--values", "--length", "4"],
+            ["family", "lebesgue", "--n", "4", "--fill", "1/2"],
+            ["check", system],
+            ["pushforward", system],
+            ["expand", "--x", "1/3", "--beta", "9/5", "--length", "6"],
+            ["family", "renyi"],
+        ]
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert [main(argv) for argv in calls] == [0] * len(calls)
+        assert len(built) <= 7
+
+    def test_options_do_not_leak_between_calls(self, capsys):
+        golden = ["--x", "1/2", "--beta", "1/2 + 1/2*sqrt(5)", "--length", "8"]
+        assert main(["expand", "--all", *golden]) == 0
+        words = capsys.readouterr().out.splitlines()
+        assert len(words) > 1
+        assert main(["expand", *golden]) == 0
+        assert capsys.readouterr().out.splitlines() == words[:1]
+        assert main(["family", "lebesgue", "--n", "3", "--fill", "1/2"]) == 0
+        assert system_from_json(capsys.readouterr().out) == lebesgue_family(3, fill=Fraction(1, 2))
+        assert main(["family", "lebesgue", "--n", "3"]) == 0
+        assert system_from_json(capsys.readouterr().out) == lebesgue_family(3)
+
+    def test_usage_error_then_success(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["family", "renyi"]) == 0
+        assert system_from_json(capsys.readouterr().out) == renyi_system()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["expand", "--help"]], ids=["top", "expand"])
+    def test_help_is_unchanged(self, argv, capsys):
+        outputs = []
+        for parse in (build_parser().parse_args, main, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].startswith("usage: twoval")
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestEntryPoints:

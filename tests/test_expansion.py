@@ -169,6 +169,21 @@ class TestOrbit:
     def test_int_point_is_neutral(self):
         assert orbit_expansion(1, 1.8, 3) == orbit_expansion(1.0, 1.8, 3)
 
+    @pytest.mark.parametrize("choose", [None, "lazy"])
+    def test_one_exact_comparison_per_digit(self, choose, monkeypatch):
+        calls = []
+        cmp = Surd._cmp
+
+        def counted(self, o):
+            calls.append(1)
+            return cmp(self, o)
+
+        monkeypatch.setattr(Surd, "_cmp", counted)
+        length = 2000
+        w = orbit_expansion(Fraction(5, 64), PHI, length, choose=choose)
+        assert len(w) == length
+        assert len(calls) <= length + 8
+
 
 def brute_force_words(x, beta, length):
     """Filter all 2^length words by replaying the admissibility rules.
