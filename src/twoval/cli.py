@@ -25,7 +25,7 @@ from fractions import Fraction
 from .criterion import InfeasibleError, check_invariance_conditions, solve_alpha1
 from .expansion import BudgetExceededError, enumerate_walk, orbit_walk, value_from_tail
 from .families import lebesgue_family, nonconstant_family, renyi_system
-from .numerics import MixedRadicandError, ParseError, format_scalar, parse_scalar, read_json
+from .numerics import MixedRadicandError, ParseError, _echo, format_scalar, parse_scalar, read_json
 from .piecewise import step_from_json_dict, step_to_csv, step_to_json
 from .system import (
     as_float_system,
@@ -58,8 +58,7 @@ def _scalar_option(flag: str, text, is_float: bool):
         x = parse_scalar(text) if "sqrt" in text else Fraction(text.replace(" ", ""))
         return float(x) if is_float else x
     except (ValueError, ArithmeticError):
-        shown = text if len(text) <= 40 else text[:40] + "…"
-        raise ValueError(f"{flag} needs a finite number, got {shown!r}") from None
+        raise ValueError(f"{flag} needs a finite number, got {_echo(text)}") from None
 
 
 def cmd_family(args) -> int:

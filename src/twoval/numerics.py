@@ -400,6 +400,11 @@ def read_json(text: str):
         raise ParseError(_digit_limit()) from None
 
 
+def _echo(text: str) -> str:
+    """``text`` quoted for an error message, cut after 40 characters."""
+    return repr(text if len(text) <= 40 else text[:40] + "…")
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse ``p/q``, ``q0 + q1*sqrt(d)``, or a decimal.
 
@@ -409,15 +414,22 @@ def parse_scalar(text: str) -> Scalar:
     s = text.strip().replace(" ", "")
     if not s:
         raise ParseError("empty scalar")
+    limit = sys.get_int_max_str_digits()
+    if (not limit or len(s) <= limit) and _RATIONAL_TERM.fullmatch(s):
+        # a plain p/q no longer than the digit limit, so int() reads both parts
+        p, _, q = s.partition("/")
+        try:
+            return Surd._make(Fraction(int(p), int(q or 1)), _ZERO, 1)
+        except ZeroDivisionError as exc:
+            raise ParseError(f"zero denominator in {_echo(text)}") from exc
     if "sqrt" not in s and _FLOAT_MARK.search(s):
         try:
             v = float(s)
         except ValueError as exc:
-            raise ParseError(f"bad scalar {text!r}") from exc
+            raise ParseError(f"bad scalar {_echo(text)}") from exc
         if not math.isfinite(v):
-            raise ParseError(f"non-finite scalar {text!r}")
+            raise ParseError(f"non-finite scalar {_echo(text)}")
         return v
-    limit = sys.get_int_max_str_digits()
     if limit and len(s) > limit and any(len(run) > limit for run in _DIGITS.findall(s)):
         raise ParseError(_digit_limit())
     total = EXACT.zero
@@ -425,7 +437,7 @@ def parse_scalar(text: str) -> Scalar:
     try:
         for m in _TERM_SPLIT.finditer(s):
             if m.start() != pos:
-                raise ParseError(f"bad scalar {text!r}")
+                raise ParseError(f"bad scalar {_echo(text)}")
             pos = m.end()
             term = m.group(0)
             sm = _SURD_TERM.fullmatch(term)
@@ -439,13 +451,13 @@ def parse_scalar(text: str) -> Scalar:
             if _RATIONAL_TERM.fullmatch(term):
                 total = total + Surd(Fraction(term))
                 continue
-            raise ParseError(f"bad scalar term {term!r} in {text!r}")
+            raise ParseError(f"bad scalar term {_echo(term)} in {_echo(text)}")
     except MixedRadicandError as exc:
-        raise ParseError(f"mixed radicands in {text!r}") from exc
+        raise ParseError(f"mixed radicands in {_echo(text)}") from exc
     except ZeroDivisionError as exc:
-        raise ParseError(f"zero denominator in {text!r}") from exc
+        raise ParseError(f"zero denominator in {_echo(text)}") from exc
     if pos != len(s):
-        raise ParseError(f"bad scalar {text!r}")
+        raise ParseError(f"bad scalar {_echo(text)}")
     return total
 
 

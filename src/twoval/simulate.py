@@ -36,9 +36,29 @@ def _float_steps(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     return bps, vals
 
 
-def _eval_step(bps: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(bps, x, side="right") - 1
-    return vals[np.clip(idx, 0, len(vals) - 1)]
+#: cells of the [0, 1] lookup table in _count_le; a power of two, so that
+#: x * _CELLS is exact and its floor is the cell that holds x
+_CELLS = 4096
+
+
+def _count_le(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, x, side="right")`` for keys x in [0, 1].
+
+    ``edges`` is ascending, ties allowed.  A key in cell k = floor(4096 x)
+    takes the count at k/4096 from a table of 4,097 entries, unless an edge
+    lies strictly inside that cell: only such keys are binary-searched.
+    Keys outside [0, 1], and NaN, are outside the domain.
+    """
+    grid = np.arange(_CELLS + 1) / _CELLS
+    at = np.searchsorted(edges, grid, side="right")
+    inside = np.append(np.searchsorted(edges, grid[1:]) > at[:-1], False)
+    k = np.empty(len(x), dtype=np.intp)
+    np.multiply(x, _CELLS, out=k, casting="unsafe")  # truncates as astype does, with no float buffer
+    count = at[k]
+    hard = np.flatnonzero(inside[k])
+    if len(hard):
+        count[hard] = np.searchsorted(edges, x[hard], side="right")
+    return count
 
 
 def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -53,10 +73,15 @@ def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) ->
     cum = np.cumsum(masses) / total
     cum[-1] = 1.0
     u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="right")
+    idx = _count_le(cum, u)
     prev = np.concatenate(([0.0], cum[:-1]))
-    rel = (u - prev[idx]) / (masses[idx] / total)
-    return np.clip(bps[idx] + rel * widths[idx], 0.0, 1.0)
+    # bps + (u - prev) / (masses / total) * widths at each draw's piece, one
+    # operation at a time in place: the same roundings, one buffer fewer
+    u -= prev[idx]
+    u /= (masses / total)[idx]
+    u *= widths[idx]
+    u += bps[idx]
+    return np.clip(u, 0.0, 1.0, out=u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +114,20 @@ def _reference_cdf_factory(density: StepFunction):
         raise ZeroMassError("reference density has no mass")
     cum_at_bp = np.concatenate(([0.0], np.cumsum(masses)))
 
-    def cdf(x: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(bps, x, side="right") - 1, 0, len(vals) - 1)
-        f = (cum_at_bp[idx] + vals[idx] * (x - bps[idx])) / total
-        return np.clip(f, 0.0, 1.0)
+    def cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The CDF at ascending keys x, into ``out`` (which may be x itself).
+
+        Piece i holds the keys in [bps[i], bps[i+1]), the first piece also
+        those below and the last those above, so each piece is one slice
+        of x and takes (cum_at_bp[i] + vals[i] * (x - bps[i])) / total,
+        with its three numbers repeated over the slice.
+        """
+        lens = np.diff(np.searchsorted(x, bps[1:-1]), prepend=0, append=len(x))
+        out = np.subtract(x, np.repeat(bps[:-1], lens), out=out)
+        out *= np.repeat(vals, lens)
+        out += np.repeat(cum_at_bp[:-1], lens)
+        out /= total
+        return np.clip(out, 0.0, 1.0, out=out)
 
     return cdf
 
@@ -108,10 +143,21 @@ class HistogramReport:
     ks_statistic: float
 
 
-def _binned_l1(values: np.ndarray, edges: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, float]:
-    """The values' mass in each bin, and its total variation from ``ref``."""
-    emp = np.histogram(values, bins=edges)[0] / len(values)
+def _binned_l1(counts: np.ndarray, n: int, ref: np.ndarray) -> tuple[np.ndarray, float]:
+    """The mass of n values in each bin, from their counts, and its total
+    variation from ``ref``."""
+    emp = counts / n
     return emp, float(np.abs(emp - ref).sum())
+
+
+def _ks_statistic(f: np.ndarray) -> float:
+    """sup |F_n - F| from F at the ascending sample; F_n steps by 1/n."""
+    n = len(f)
+    after = np.arange(1, n + 1, dtype=np.float64)
+    after /= n  # F_n just after the i-th smallest value, i/n; (i - 1)/n is its predecessor
+    d_minus = (f[1:] - after[:-1]).max(initial=f[0])  # f[0] - 0/n is f[0]
+    d_plus = np.subtract(after, f, out=after).max()
+    return float(max(d_plus, d_minus))
 
 
 def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 100) -> HistogramReport:
@@ -130,28 +176,40 @@ def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 10
     edges = np.linspace(0.0, 1.0, bins + 1)
     cdf = _reference_cdf_factory(reference)
     ref = np.diff(cdf(edges))
-    emp, l1 = _binned_l1(values, edges, ref)
     xs = np.sort(values)
-    f = cdf(xs)
-    i = np.arange(1, n + 1)
-    ks = float(max((i / n - f).max(), (f - (i - 1) / n).max()))
+    # np.histogram's counts off the sorted values: bins [e_i, e_i+1), the last closed
+    below = np.append(np.searchsorted(xs, edges[:-1]), np.searchsorted(xs, edges[-1], side="right"))
+    emp, l1 = _binned_l1(np.diff(below), n, ref)
     return HistogramReport(
         bin_edges=edges,
         bin_masses=emp,
         reference_masses=ref,
         l1_distance_to_reference=l1,
-        ks_statistic=ks,
+        ks_statistic=_ks_statistic(cdf(xs, out=xs)),
     )
 
 
 def _advance(x: np.ndarray, system: EquippedSystem, coins: np.ndarray) -> np.ndarray:
+    """One random branch step of the points x in [0, 1].
+
+    A point takes the first branch when its coin falls below alpha1(x).  The
+    first branch cuts at 1 - a, the second at a; a point at or above its cut
+    maps to (x - a)/(1 - a), any other to x/(1 - a).  As a <= 1 - a, the
+    points at or above their cut are those at or above a that the first
+    branch does not hold below 1 - a.  Each point subtracts ``high * a``,
+    and x - 0.0 is x, so the branch-free form gives the same bits.
+    """
     a = float(system.a)
     w = 1.0 - a
-    alpha_bps, alpha_vals = _float_steps(system.alpha1)
-    first = coins < _eval_step(alpha_bps, alpha_vals, x)
-    cut = np.where(first, w, a)
-    y = np.where(x < cut, x / w, (x - a) / w)
-    return np.clip(y, 0.0, 1.0)
+    bps, vals = _float_steps(system.alpha1)
+    # alpha1 at piece count - 1; the end values repeat for keys at 0 and at 1
+    first = coins < np.concatenate((vals[:1], vals, vals[-1:]))[_count_le(bps, x)]
+    high = x >= a
+    high &= ~first | (x >= w)
+    y = high * a
+    np.subtract(x, y, out=y)
+    y /= w
+    return np.clip(y, 0.0, 1.0, out=y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +297,10 @@ def run_chain(
     distances = []
     start = report = histogram_report(x, fs.density, bins)
     for step in range(n_steps):
-        coins = rng.random(n_samples)
-        x = _advance(x, fs, coins)
+        x = _advance(x, fs, rng.random(n_samples))  # the coins are freed before any report
         if step < n_steps - 1:  # only the L1 figure of an intermediate step is kept
-            distances.append(_binned_l1(x, start.bin_edges, start.reference_masses)[1])
+            counts = np.histogram(x, bins=start.bin_edges)[0]
+            distances.append(_binned_l1(counts, n_samples, start.reference_masses)[1])
         else:
             report = histogram_report(x, fs.density, bins)
             distances.append(report.l1_distance_to_reference)

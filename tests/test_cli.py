@@ -540,6 +540,17 @@ class TestValuesOracle:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "0" * 12 + " 0.0"
 
+    @pytest.mark.parametrize("flag", ["--x", "--beta"])
+    def test_long_bad_scalar_is_cut_in_the_message(self, flag, capsys):
+        bad = "1/2x" + "3" * 3000
+        argv = {"--x": "1/3", "--beta": "2", flag: bad}
+        assert main(["expand", "--x", argv["--x"], "--beta", argv["--beta"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert len(captured.err) < 200
+        assert captured.err.endswith("…'\n")
+
 
 class TestDigitLimit:
     """Integers past the interpreter's limit on integer text exit 2 in twoval's words."""

@@ -306,6 +306,10 @@ class TestParsing:
             ("3/2 - 1/2*sqrt(5)", GOLDEN_A),
             ("1/2 + 1/2*sqrt(5)", Surd(Fraction(1, 2), Fraction(1, 2), 5)),
             ("2*sqrt(8)", Surd(0, 4, 2)),
+            ("+4/6", Surd(Fraction(2, 3))),
+            ("-0", Surd(0)),
+            (" 1 / 2 ", Surd(Fraction(1, 2))),
+            ("\u0661\u0662/\u0663", Surd(4)),  # Arabic-Indic digits, as int() reads them
         ],
     )
     def test_exact_forms(self, text, value):
@@ -318,7 +322,7 @@ class TestParsing:
         assert isinstance(got, float) and got == value
 
     @pytest.mark.parametrize(
-        "text", ["", "abc", "1//2", "sqrt(2)+sqrt(3)", "1/0", "sqrt(-1)", "2..5", "inf", "nan"]
+        "text", ["", "abc", "1//2", "sqrt(2)+sqrt(3)", "1/0", "sqrt(-1)", "2..5", "inf", "nan", "3/-4", "1_000", "2/"]
     )
     def test_rejects(self, text):
         with pytest.raises(ParseError):

@@ -1,12 +1,19 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twoval.families import lebesgue_family, nonconstant_family
 from twoval.piecewise import StepFunction, ZeroMassError
 from twoval.simulate import (
     ChainReport,
     HistogramReport,
     OneStepReport,
     SampleSet,
+    _count_le,
     histogram_report,
     one_step_stationarity_test,
     read_sample_file,
@@ -246,3 +253,168 @@ class TestSampleFile:
         path.write_bytes((3).to_bytes(8, "little") + b"\x00" * 16)
         with pytest.raises(ValueError):
             read_sample_file(path)
+
+
+# -- _count_le against np.searchsorted ---------------------------------------
+
+
+@st.composite
+def ascending_edges(draw):
+    """Sorted edges on [0, 1]: random, on the 1/4096 grid, or clustered within
+    1e-6, some repeated as zero-mass pieces repeat a cumulative mass."""
+    kind = draw(st.sampled_from(["random", "grid", "cluster"]))
+    size = draw(st.integers(1, 12))
+    if kind == "random":
+        edges = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    elif kind == "grid":
+        edges = [k / 4096 for k in draw(st.lists(st.integers(0, 4096), min_size=size, max_size=size))]
+    else:
+        base = draw(st.floats(0.0, 1.0 - 1e-6))
+        edges = [base + d for d in draw(st.lists(st.floats(0.0, 1e-6), min_size=size, max_size=size))]
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+    return np.sort(np.repeat(np.array(edges), repeats))
+
+
+def keys_around(edges: np.ndarray) -> np.ndarray:
+    """0, 1, every edge, and the doubles on either side of each edge, in [0, 1]."""
+    keys = np.concatenate(([0.0, 1.0], edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
+    return keys[(keys >= 0.0) & (keys <= 1.0)]
+
+
+class TestCountLe:
+    @settings(max_examples=300, deadline=None)
+    @given(ascending_edges(), st.integers(0, 2**32 - 1))
+    def test_matches_searchsorted(self, edges, seed):
+        keys = np.concatenate((keys_around(edges), np.random.default_rng(seed).random(200)))
+        assert np.array_equal(_count_le(edges, keys), np.searchsorted(edges, keys, side="right"))
+
+    def test_many_edges_in_one_cell(self):
+        edges = np.sort(np.random.default_rng(1).random(10_000))
+        keys = np.concatenate((keys_around(edges), np.random.default_rng(2).random(10_000)))
+        assert np.array_equal(_count_le(edges, keys), np.searchsorted(edges, keys, side="right"))
+
+
+# -- byte identity with the binary-search formulas ---------------------------
+#
+# The reference helpers below are the searchsorted / clip / gather formulas
+# the kernels replaced.  A (seed, stream) pair must give the same draw and
+# the same report bit for bit.
+
+
+def ref_rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+
+
+def ref_steps(f: StepFunction):
+    return np.array([float(b) for b in f.breakpoints]), np.array([float(v) for v in f.values])
+
+
+def ref_eval_step(bps, vals, x):
+    idx = np.searchsorted(bps, x, side="right") - 1
+    return vals[np.clip(idx, 0, len(vals) - 1)]
+
+
+def ref_sample(density: StepFunction, n: int, rng) -> np.ndarray:
+    bps, vals = ref_steps(density)
+    widths = np.diff(bps)
+    masses = vals * widths
+    total = masses.sum()
+    cum = np.cumsum(masses) / total
+    cum[-1] = 1.0
+    u = rng.random(n)
+    idx = np.searchsorted(cum, u, side="right")
+    prev = np.concatenate(([0.0], cum[:-1]))
+    rel = (u - prev[idx]) / (masses[idx] / total)
+    return np.clip(bps[idx] + rel * widths[idx], 0.0, 1.0)
+
+
+def ref_histogram(values, density: StepFunction, bins: int = 100):
+    bps, vals = ref_steps(density)
+    masses = vals * np.diff(bps)
+    total = masses.sum()
+    cum_at_bp = np.concatenate(([0.0], np.cumsum(masses)))
+
+    def cdf(x):
+        idx = np.clip(np.searchsorted(bps, x, side="right") - 1, 0, len(vals) - 1)
+        return np.clip((cum_at_bp[idx] + vals[idx] * (x - bps[idx])) / total, 0.0, 1.0)
+
+    n = len(values)
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    ref = np.diff(cdf(edges))
+    emp = np.histogram(values, bins=edges)[0] / n
+    f = cdf(np.sort(values))
+    i = np.arange(1, n + 1)
+    ks = float(max((i / n - f).max(), (f - (i - 1) / n).max()))
+    return emp, ref, float(np.abs(emp - ref).sum()), ks
+
+
+def ref_advance(x, system: EquippedSystem, coins):
+    a = float(system.a)
+    w = 1.0 - a
+    first = coins < ref_eval_step(*ref_steps(system.alpha1), x)
+    y = np.where(x < np.where(first, w, a), x / w, (x - a) / w)
+    return np.clip(y, 0.0, 1.0)
+
+
+ORACLE_SYSTEMS = {
+    "golden-exact": lambda: nonconstant_family(2, 3, 5),
+    "nc3-float": lambda: as_float_system(nonconstant_family(3, 2, 6)),
+    "leb4-float": lambda: as_float_system(lebesgue_family(4, fill=Fraction(1, 2))),
+    "control": control_system,
+    "half": lambda: EquippedSystem(0.5, StepFunction.constant(1.0), StepFunction([0, 0.3, 0.8, 1], [0.2, 0.9, 0.5])),
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("n", [10_000, 200_000])
+    @pytest.mark.parametrize("tag", list(ORACLE_SYSTEMS))
+    def test_run_chain_matches_reference(self, tag, n):
+        fs = as_float_system(ORACLE_SYSTEMS[tag]())
+        rng = ref_rng(19, 3)
+        xs = [ref_sample(fs.density, n, rng)]
+        for _ in range(5):
+            xs.append(ref_advance(xs[-1], fs, rng.random(n)))
+        reports = [ref_histogram(x, fs.density) for x in xs]
+        for steps in range(6):
+            rep = run_chain(fs, n, steps, 19, stream=3)
+            assert rep.final_values.tobytes() == xs[steps].tobytes()
+            assert rep.step_distances == [r[2] for r in reports[1 : steps + 1]]
+            for got, want in ((rep.initial, reports[0]), (rep.final, reports[steps])):
+                assert got.bin_masses.tobytes() == want[0].tobytes()
+                assert got.reference_masses.tobytes() == want[1].tobytes()
+                assert got.l1_distance_to_reference == want[2]
+                assert got.ks_statistic == want[3]
+
+    @pytest.mark.parametrize("tag", list(ORACLE_SYSTEMS))
+    def test_histogram_report_matches_reference_off_the_unit_interval(self, tag):
+        density = as_float_system(ORACLE_SYSTEMS[tag]()).density
+        values = np.random.default_rng(5).normal(0.5, 0.45, 30_001)
+        values[:4] = [-1e-300, 1.0, 1.5, 0.0]
+        assert values.min() < 0 and values.max() > 1
+        for bins in (1, 7, 100):
+            got = histogram_report(values, density, bins=bins)
+            emp, ref, l1, ks = ref_histogram(values, density, bins)
+            assert got.bin_masses.tobytes() == emp.tobytes()
+            assert got.reference_masses.tobytes() == ref.tobytes()
+            assert (got.l1_distance_to_reference, got.ks_statistic) == (l1, ks)
+
+    def test_single_value_report(self):
+        got = histogram_report(np.array([0.3]), UNIFORM, bins=4)
+        emp, ref, l1, ks = ref_histogram(np.array([0.3]), UNIFORM, 4)
+        assert (got.bin_masses.tobytes(), got.ks_statistic) == (emp.tobytes(), ks)
+
+
+class TestMemory:
+    def test_chain_holds_at_most_six_arrays_of_n(self):
+        # numpy reports its buffers to tracemalloc; the binary-search kernels
+        # peaked at 8 arrays of 8n bytes here
+        n = 200_000
+        fs = as_float_system(golden_system())
+        run_chain(fs, 1_000, 3, seed=1)
+        tracemalloc.start()
+        try:
+            run_chain(fs, n, 3, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * n
