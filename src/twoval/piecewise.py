@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -163,48 +163,6 @@ class StepFunction:
         vals = ", ".join(format_scalar(v) for v in self.values)
         return f"StepFunction([{bps}], [{vals}])"
 
-    # -- grid alignment --------------------------------------------------
-
-    def _merged_grid(self, *others: "StepFunction") -> list:
-        pts = sorted(set(self.breakpoints).union(*(o.breakpoints for o in others)))
-        if not self.is_float:
-            return pts
-        # Affine images of one exact point computed along different float
-        # paths land on nearly equal doubles; fusing them kills the sliver
-        # pieces that would otherwise show up as spurious deviations.
-        snap = self.scalars.snap
-        grid = [0.0]
-        for t in pts[1:]:
-            if t - grid[-1] > snap:
-                grid.append(t)
-        if grid[-1] != 1.0:
-            if 1.0 - grid[-1] <= snap:
-                grid[-1] = 1.0
-            else:
-                grid.append(1.0)
-        return grid
-
-    def _resample(self, grid: Sequence) -> list:
-        """The value on each cell of ``grid``, in one pass over both grids.
-
-        An exact grid refines this function's breakpoints, so each cell is
-        found by its left end.  A float grid may have snapped a breakpoint
-        onto a neighbour, so each cell is found by its midpoint.
-        """
-        bps, vals = self.breakpoints, self.values
-        last = len(vals) - 1
-        i = 0
-        out = []
-        if self.is_float:
-            probes = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
-        else:
-            probes = grid[:-1]
-        for x in probes:
-            while i < last and bps[i + 1] <= x:
-                i += 1
-            out.append(vals[i])
-        return out
-
     def _zip_with(self, other, op) -> "StepFunction":
         if isinstance(other, StepFunction):
             return combine(op, self, other)
@@ -269,17 +227,20 @@ class StepFunction:
         """The function on [lo, hi) and zero elsewhere as its jumps (t, size), in order.
 
         ``lo`` and ``hi`` default to 0 and 1, so the jumps up from and back
-        down to the zero extension at either end are included.
+        down to the zero extension at either end are included.  Bisection
+        finds the pieces that meet (lo, hi); if none does, as when lo >= hi,
+        the one jump is a zero jump at hi.
         """
-        bps = self.breakpoints
+        bps, vals = self.breakpoints, self.values
         lo = bps[0] if lo is None else lo
         hi = bps[-1] if hi is None else hi
-        out = []
-        prev = self.scalars.zero
-        for t0, t1, v in zip(bps, bps[1:], self.values):
-            if t1 > lo and t0 < hi:
-                out.append((t0 if t0 > lo else lo, v - prev))
-                prev = v
+        i, j = max(bisect_right(bps, lo) - 1, 0), min(bisect_left(bps, hi), len(vals))
+        out, prev = [], self.scalars.zero
+        for t, v in zip(bps[i:j], vals[i:j]):
+            out.append((t, v - prev))
+            prev = v
+        if out and not out[0][0] > lo:
+            out[0] = (lo, out[0][1])
         out.append((hi, -prev))
         return out
 
@@ -306,11 +267,56 @@ class StepFunction:
 
 
 def combine(op, *fs: StepFunction) -> StepFunction:
-    """The function x -> op(f1(x), f2(x), ...), walking the merged grid once."""
+    """The function x -> op(f1(x), f2(x), ...), in one walk over the inputs' grids.
+
+    Exact grids are merged k ways: each cell ends at the least of the
+    inputs' next breakpoints, and each input whose next breakpoint that is
+    moves on, so nothing is hashed or sorted and each input's value on a
+    cell is the one it holds there.
+    """
     if len({f.is_float for f in fs}) > 1:
         raise MixedBackendError("cannot combine exact and float functions")
-    grid = fs[0]._merged_grid(*fs[1:])
-    return StepFunction(grid, [op(*vs) for vs in zip(*(f._resample(grid) for f in fs))])
+    if fs[0].is_float:
+        return _combine_floats(op, fs)
+    one = fs[0].breakpoints[-1]
+    at = [0] * len(fs)
+    heads = [f.breakpoints[1] for f in fs]
+    bps, vals = [fs[0].breakpoints[0]], []
+    while True:
+        t = min(heads)
+        bps.append(t)
+        vals.append(op(*(f.values[i] for f, i in zip(fs, at))))
+        if t == one:
+            return StepFunction(bps, vals)
+        for k, f in enumerate(fs):
+            if heads[k] == t:
+                at[k] += 1
+                heads[k] = f.breakpoints[at[k] + 1]
+
+
+def _combine_floats(op, fs) -> StepFunction:
+    """:func:`combine` on floats.  Affine images of one exact point land on
+    nearly equal doubles, so breakpoints within the snap distance of the
+    last kept one are fused onto it, and each input is read at the midpoint
+    of each fused cell, in one pass over its pieces."""
+    snap = fs[0].scalars.snap
+    grid = [0.0]
+    for t in sorted(set().union(*(f.breakpoints for f in fs)))[1:-1]:
+        if t - grid[-1] > snap:
+            grid.append(t)
+    if 1.0 - grid[-1] <= snap:
+        grid.pop()
+    grid.append(1.0)
+    mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
+    columns = []
+    for f in fs:
+        bps, vals, last, i = f.breakpoints, f.values, len(f.values) - 1, 0
+        columns.append([])
+        for x in mids:
+            while i < last and bps[i + 1] <= x:
+                i += 1
+            columns[-1].append(vals[i])
+    return StepFunction(grid, [op(*vs) for vs in zip(*columns)])
 
 
 def from_jumps(jumps, scalars) -> StepFunction:
@@ -327,13 +333,13 @@ def from_jumps(jumps, scalars) -> StepFunction:
     jumps = sorted(jumps, key=itemgetter(0))
     level = zero
     if scalars.is_float:
-        jumps, nan_from = _snapped_exact(jumps, scalars.snap)
+        jumps, nan_from = _snapped_exact(jumps, scalars.snap)  # all below 1 - snap
         level = Fraction(0)
+    else:
+        jumps = jumps[: bisect_left(jumps, one, key=itemgetter(0))]
     bps = [zero]
     vals = []
     for t, size in jumps:
-        if t >= one:
-            break
         if t > bps[-1]:
             vals.append(level)
             bps.append(t)

@@ -4,11 +4,14 @@ The transformation has two expanding branches with common slope 1/(1-a),
 a in (0, 1/2].  The first map sends [0, 1-a) up by x/(1-a) and the tail
 [1-a, 1] by (x-a)/(1-a); the second map switches at a instead of 1-a.
 A point at x follows the first map with probability alpha1(x), so a
-density p splits into branch weights A1 = alpha1*p and A2 = p - A1.
+density p splits into branch weights A1 = alpha1*p and A2 = p - A1.  The
+maps differ only on the switch region [a, 1-a), that of Dajani and
+Kraaikamp's random beta-transformation, so alpha1 matters only there.
 
-:func:`pushforward_density` assembles the image density from the four
-inverse branches; :func:`pushforward_measure` integrates the weights over
-preimages directly, so the two agree only if both are right.
+:func:`pushforward_density` substitutes A2 = p - A1 into the four inverse
+branches and reads A1 on the switch region alone; :func:`pushforward_measure`
+integrates A1 and A2 over the four preimages directly, so the two agree
+only if both are right.
 """
 
 from __future__ import annotations
@@ -118,28 +121,33 @@ class EquippedSystem:
 def pushforward_density(system: EquippedSystem) -> StepFunction:
     """Image of the weighted density under one step of the transformation.
 
-    Sums the four inverse-branch contributions; each inverse has slope
-    (1-a), so every term carries the factor (1-a).  Total mass is
-    conserved by construction.  Each branch sees A1 or A2 restricted to
-    its domain: A1 on [0, 1-a) and [1-a, 1], A2 on [0, a) and [a, 1].
-    Those restrictions' jumps, mapped through the branches, are summed by
-    one :func:`~twoval.piecewise.from_jumps`.
+    Each inverse branch has slope w = 1-a.  The image at y is w times the
+    weight at wy (A1 on [0, w), A2 on [0, a)) plus that at wy + a (A1 on
+    [w, 1], A2 on [a, 1]); with A2 = p - A1 this is
+
+        w * [p|[0,a)(wy) + p|[a,1](wy + a) + A1|[a,w)(wy) - A1|[a,w)(wy + a)],
+
+    so A2 is never formed and A1 is read on [a, w) only.  One
+    :func:`~twoval.piecewise.from_jumps` sums those jumps moved through the
+    branches; mass is conserved, and at a = 1/2 alpha1 drops out.
     """
     a = system.a
     w = 1 - a
-    a1 = system.weight_first
-    a2 = system.density - a1
+    p = system.density
+    a1 = system.weight_first.jumps(a, w)
     scale = 1 / w
-    branches = ((a1.jumps(0, w), 0), (a1.jumps(w, 1), a), (a2.jumps(0, a), 0), (a2.jumps(a, 1), a))
-    jumps = [((t - b) * scale, w * v) for branch, b in branches for t, v in branch]
-    return from_jumps(jumps, system.density.scalars)
+    low = p.jumps(0, a) + a1
+    high = p.jumps(a, 1) + [(t, -v) for t, v in a1]
+    jumps = [(t * scale, w * v) for t, v in low] + [((t - a) * scale, w * v) for t, v in high]
+    return from_jumps(jumps, p.scalars)
 
 
 def pushforward_measure(system: EquippedSystem, interval: Interval) -> Scalar:
     """Mass the transformation carries into the interval, via preimages.
 
     Independent of :func:`pushforward_density`: integrates A1 and A2 over
-    the four preimage intervals without ever building the image density.
+    the four preimage intervals, without the image density or its
+    A2 = p - A1 substitution, so the two check each other.
     """
     a = system.a
     w = 1 - a

@@ -41,29 +41,37 @@ def make_float_system(rng: random.Random) -> EquippedSystem:
     return EquippedSystem(a, density, alpha1)
 
 
-def make_ragged_system(rng: random.Random, pieces: int, a) -> EquippedSystem:
-    """A density and an alpha1 of ``pieces`` pieces each, cut on a 1/(16*pieces) grid."""
+def make_ragged_system(rng: random.Random, pieces: int, a, cuts=()) -> EquippedSystem:
+    """A density and an alpha1 of ``pieces`` pieces each, cut on a 1/(16*pieces) grid
+    and at each of ``cuts``."""
 
     def grid():
         den = 16 * pieces
-        return [Fraction(0), *(Fraction(c, den) for c in sorted(rng.sample(range(1, den), pieces - 1))), Fraction(1)]
+        grid_cuts = {Fraction(c, den) for c in rng.sample(range(1, den), pieces - 1)}
+        return [Fraction(0), *sorted(grid_cuts.union(cuts)), Fraction(1)]
 
-    density = StepFunction(grid(), [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(pieces)])
-    alpha1 = StepFunction(grid(), [Fraction(rng.randint(0, 8), 8) for _ in range(pieces)])
+    bps = grid()
+    density = StepFunction(bps, [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in bps[1:]])
+    bps = grid()
+    alpha1 = StepFunction(bps, [Fraction(rng.randint(0, 8), 8) for _ in bps[1:]])
     return EquippedSystem(a, density, alpha1)
 
 
-#: systems on which the exact jump-form sums are held to the grid walk
+#: systems on which the exact jump-form sums are held to the grid walk; the
+#: switch cases cut p and alpha1 at a and 1 - a, and first and second hold
+#: alpha1 at 1 and 0
 JUMP_FORM_CASES = (
     [f"ragged-{pieces}" for pieces in (1, 2, 3, 5, 8, 13, 24, 48)]
     + [f"nonconstant-{n}" for n in range(2, 13)]
-    + ["renyi"]
+    + ["renyi", "switch-3", "switch-8", "switch-24", "first-13", "second-13"]
 )
 
 
 def jump_form_systems(case: str) -> list:
     """The systems of one of JUMP_FORM_CASES.  A ragged case holds two systems of
-    that many pieces, at a = 1/n and just above 1/(n+1) for a random n <= 12."""
+    that many pieces, at a = 1/n and just above 1/(n+1) for a random n <= 12; a
+    switch case adds a = 1/2, and first and second are ragged systems of 13
+    pieces with alpha1 replaced."""
     kind, _, size = case.partition("-")
     if kind == "renyi":
         return [renyi_system()]
@@ -71,7 +79,14 @@ def jump_form_systems(case: str) -> list:
     if kind == "nonconstant":
         return [nonconstant_family(int(size), rng.randint(0, 5), rng.randint(1, 5))]
     n = rng.randint(2, 12)
-    return [make_ragged_system(rng, int(size), a) for a in (Fraction(1, n), Fraction(1, n + 1) + Fraction(1, 10**6))]
+    params = [Fraction(1, n), Fraction(1, n + 1) + Fraction(1, 10**6)]
+    if kind == "switch":
+        return [make_ragged_system(rng, int(size), a, cuts=(a, 1 - a)) for a in params + [Fraction(1, 2)]]
+    systems = [make_ragged_system(rng, int(size), a) for a in params]
+    if kind in ("first", "second"):
+        alpha1 = StepFunction.constant(Fraction(int(kind == "first")))
+        return [EquippedSystem(s.a, s.density, alpha1) for s in systems]
+    return systems
 
 
 def compose_by_preimages(f: StepFunction, c, b) -> StepFunction:

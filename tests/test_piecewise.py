@@ -165,7 +165,18 @@ class TestResampleOracle:
 
     @staticmethod
     def midpoint_rule(op, *fs):
-        grid = fs[0]._merged_grid(*fs[1:])
+        """Every breakpoint in one set, sorted; float ones within the snap
+        distance of the last kept one fused onto it; each cell read at its midpoint."""
+        grid = sorted(set().union(*(f.breakpoints for f in fs)))
+        if fs[0].is_float:
+            snap = FLOAT.snap
+            kept = [0.0]
+            for t in grid[1:-1]:
+                if t - kept[-1] > snap:
+                    kept.append(t)
+            if 1.0 - kept[-1] <= snap:
+                kept.pop()
+            grid = kept + [1.0]
         mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
         return StepFunction(grid, [op(*(f(m) for f in fs)) for m in mids])
 
@@ -198,6 +209,107 @@ class TestResampleOracle:
                 return vs[0] * vs[1] - vs[2] + vs[-1] * vs[-1]
 
             assert combine(op, *fs) == self.midpoint_rule(op, *fs)
+
+
+def _counting(monkeypatch) -> dict:
+    """Count Surd ordering comparisons made outside the StepFunction constructor, and Surd hashes."""
+    counts = {"cmp": 0, "constructor_cmp": 0, "hash": 0}
+    cmp, hash_, init = Surd._cmp, Surd.__hash__, StepFunction.__init__
+    inside = []
+
+    def counted_cmp(self, o):
+        counts["constructor_cmp" if inside else "cmp"] += 1
+        return cmp(self, o)
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return hash_(self)
+
+    def counted_init(self, *args):
+        inside.append(1)
+        try:
+            init(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Surd, "_cmp", counted_cmp)
+    monkeypatch.setattr(Surd, "__hash__", counted_hash)
+    monkeypatch.setattr(StepFunction, "__init__", counted_init)
+    return counts
+
+
+class TestMergeWalk:
+    """An exact combine merges its inputs' breakpoint tuples in one walk:
+    no breakpoint is hashed, and the walk makes at most N1 + N2 + 2 ordering
+    comparisons.  The constructor's check that the result's grid increases
+    makes one more per cell of the result."""
+
+    @pytest.mark.parametrize("n1,n2,shared", [(1, 1, False), (1, 60, False), (60, 60, False), (60, 60, True), (150, 7, False)])
+    def test_comparison_count(self, n1, n2, shared, monkeypatch):
+        rng = random.Random(f"merge-{n1}-{n2}-{shared}")
+        f = _ragged_exact(rng, n1)
+        g = _ragged_exact(rng, n2, shared=f.breakpoints[1:-1] if shared else ())
+        n1, n2 = len(f.values), len(g.values)
+        counts = _counting(monkeypatch)
+        h = f * g
+        assert counts["hash"] == 0
+        assert counts["cmp"] <= n1 + n2 + 2
+        assert counts["constructor_cmp"] <= n1 + n2
+        monkeypatch.undo()
+        assert h == TestResampleOracle.midpoint_rule(lambda u, v: u * v, f, g)
+
+    def test_three_way_walk(self, monkeypatch):
+        rng = random.Random("merge-3")
+        f = _ragged_exact(rng, 40)
+        g, k = _ragged_exact(rng, 30, shared=f.breakpoints[1:-1]), _ragged_exact(rng, 20)
+        counts = _counting(monkeypatch)
+        h = combine(lambda u, v, w: u - v * w, f, g, k)
+        assert counts["hash"] == 0
+        assert counts["cmp"] <= 2 * (len(f.values) + len(g.values) + len(k.values))
+        monkeypatch.undo()
+        assert h == TestResampleOracle.midpoint_rule(lambda u, v, w: u - v * w, f, g, k)
+
+
+def jumps_by_scan(f: StepFunction, lo=None, hi=None) -> list:
+    """StepFunction.jumps by its definition: every piece tested against (lo, hi) in turn."""
+    bps = f.breakpoints
+    lo = bps[0] if lo is None else lo
+    hi = bps[-1] if hi is None else hi
+    out = []
+    prev = f.scalars.zero
+    for t0, t1, v in zip(bps, bps[1:], f.values):
+        if t1 > lo and t0 < hi:
+            out.append((t0 if t0 > lo else lo, v - prev))
+            prev = v
+    out.append((hi, -prev))
+    return out
+
+
+@st.composite
+def windows(draw):
+    """A step function on either backend and a window whose ends are breakpoints,
+    midpoints, 0, 1, -1/2, 3/2 or omitted."""
+    f = draw(exact_steps())
+    if draw(st.booleans()):
+        f = StepFunction([float(t) for t in f.breakpoints], [float(v) for v in f.values])
+    b, bps = f.scalars, f.breakpoints
+    ends = [*bps, *((lo + hi) / 2 for lo, hi in zip(bps, bps[1:])), b.zero, b.one, -b.one / 2, 3 * b.one / 2, None]
+    return f, draw(st.sampled_from(ends)), draw(st.sampled_from(ends))
+
+
+class TestJumps:
+    @given(windows())
+    def test_matches_the_scan(self, case):
+        f, lo, hi = case
+        got, want = f.jumps(lo, hi), jumps_by_scan(f, lo, hi)
+        assert got == want
+        assert [(repr(t), repr(v)) for t, v in got] == [(repr(t), repr(v)) for t, v in want]
+
+    def test_empty_windows_give_one_zero_jump_at_hi(self):
+        f = StepFunction([0, H, 1], [1, 2])
+        assert f.jumps(H, H) == [(H, 0)]
+        assert f.jumps(Fraction(3, 4), Fraction(1, 4)) == [(Fraction(1, 4), 0)]
+        assert f.jumps(1, Fraction(3, 2)) == [(Fraction(3, 2), 0)]
 
 
 class TestComposeAffine:

@@ -13,9 +13,12 @@ from conftest import (
     assert_close_on_cells,
     compose_by_preimages,
     jump_form_systems,
+    make_exact_step,
     make_exact_system,
     make_float_system,
+    make_fraction_grid,
 )
+from twoval import cli
 from twoval.numerics import Interval, MixedBackendError, MixedRadicandError, ParseError, Surd
 from twoval.piecewise import StepFunction, combine
 from twoval.simulate import _advance
@@ -195,6 +198,97 @@ class TestPushforwardJumpForm:
             assert pushforward_density(system) == _pushforward_by_grid(system)
             s = as_float_system(system)
             assert_close_on_cells(pushforward_density(s), _pushforward_by_grid(s))
+
+
+def _alpha1_replaced_off_switch(system: EquippedSystem, other: StepFunction) -> EquippedSystem:
+    """The system with alpha1 taken from ``other`` on [0, a) and [1-a, 1]."""
+    a = system.a
+    inside = StepFunction.indicator(a, 1 - a)
+    alpha1 = combine(lambda kept, new, keep: kept if keep else new, system.alpha1, other, inside)
+    return EquippedSystem(a, system.density, alpha1)
+
+
+class TestSwitchRegion:
+    """The two maps agree off the switch region [a, 1-a), where the paper leaves
+    alpha1 free: exactly on exact systems, and on every cell wider than 1e-9 on
+    their float copies."""
+
+    @pytest.mark.parametrize("case", ["ragged-24", "switch-8", "first-13", "nonconstant-4", "renyi"])
+    def test_alpha1_off_the_switch_region_is_ignored(self, case):
+        rng = random.Random(f"off-switch-{case}")
+        changed = 0
+        for system in jump_form_systems(case):
+            for _ in range(4):
+                grid = make_fraction_grid(rng, max_cuts=6)
+                other = StepFunction(grid, [Fraction(rng.randint(0, 6), 6) for _ in grid[1:]])
+                moved = _alpha1_replaced_off_switch(system, other)
+                changed += moved.alpha1 != system.alpha1
+                assert pushforward_density(moved) == pushforward_density(system)
+                # float 1 - a and the rounded exact 1 - a may differ by an ulp
+                assert_close_on_cells(pushforward_density(as_float_system(moved)), pushforward_density(as_float_system(system)))
+        assert changed
+
+    def test_at_one_half_alpha1_drops_out(self):
+        rng = random.Random("half")
+        for _ in range(20):
+            p = make_exact_step(rng, max_cuts=6, lo=0)
+            first, second = (
+                EquippedSystem(Fraction(1, 2), p, StepFunction(g, [Fraction(rng.randint(0, 8), 8) for _ in g[1:]]))
+                for g in (make_fraction_grid(rng), make_fraction_grid(rng))
+            )
+            assert pushforward_density(first) == pushforward_density(second)
+            assert pushforward_density(as_float_system(first)) == pushforward_density(as_float_system(second))
+
+
+def _ragged_file(tmp_path, pieces: int, a) -> str:
+    """A system file like the benchmark's ragged ones: p and alpha1 of ``pieces``
+    pieces each on a 1/(16*pieces) grid, neighbouring values always different."""
+    rng = random.Random(f"ragged-file-{pieces}")
+
+    def step(lo, hi, den):
+        grid = 16 * pieces
+        values = [rng.randint(lo, hi)]
+        for _ in range(pieces - 1):
+            v = rng.randint(lo, hi - 1)
+            values.append(v + 1 if v >= values[-1] else v)
+        cuts = sorted(rng.sample(range(1, grid), pieces - 1))
+        return StepFunction([0, *(Fraction(c, grid) for c in cuts), 1], [Fraction(v, den) for v in values])
+
+    path = tmp_path / f"ragged{pieces}.json"
+    path.write_text(system_to_json(EquippedSystem(a, step(1, 12, 4), step(0, 8, 8))))
+    return str(path)
+
+
+class TestComparisonCounts:
+    """Surd ordering comparisons of the exact CLI pushforward and check of a
+    48-piece ragged system.  The four-branch transfer with A2 = p - A1 formed
+    on all of [0,1], and a combine that sorted a set of breakpoints and
+    resampled each input, made about 3,700 and 5,100."""
+
+    @staticmethod
+    def count(argv, monkeypatch, capsys) -> tuple:
+        calls = []
+        cmp = Surd._cmp
+
+        def counted(self, o):
+            calls.append(1)
+            return cmp(self, o)
+
+        with monkeypatch.context() as m:
+            m.setattr(Surd, "_cmp", counted)
+            rc = cli.main(argv)
+        capsys.readouterr()
+        return rc, len(calls)
+
+    def test_pushforward(self, tmp_path, monkeypatch, capsys):
+        path = _ragged_file(tmp_path, 48, Fraction(5, 12))
+        rc, calls = self.count(["pushforward", path, "-o", str(tmp_path / "push.json")], monkeypatch, capsys)
+        assert rc == 0 and calls <= 1200
+
+    def test_check(self, tmp_path, monkeypatch, capsys):
+        path = _ragged_file(tmp_path, 48, Fraction(5, 12))
+        rc, calls = self.count(["check", path], monkeypatch, capsys)
+        assert rc == 1 and calls <= 3000
 
 
 class TestPushforwardMeasure:
