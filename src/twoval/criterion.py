@@ -27,8 +27,9 @@ A1 = S on each J_m, where the k < -(m+1) terms vanish, and so do the
 k = -n ones as (n+1)a > 1.  The full identity at x is S(x + (n-1)a) and
 the short one S(x + (n-2)a), whose extra k = -n terms vanish for x < 2a.
 So the density identities say S = 0 on [na, 1) and [1-a, na), and the
-n+1 windows are consecutive on [a, 1): one walk over S and one over
-A1 - S read every sup.  S is one exact sum over the moved jumps of p.
+n+1 windows are consecutive on [a, 1): on an exact system one walk over
+S and one over alpha1, p and S read every sup, so S, one exact sum over
+the moved jumps of p, is the only function built.
 
 :func:`solve_alpha1` inverts the weight identity: given (a, p) it checks
 the two density identities, reads A1 off the windows, and divides by p.
@@ -38,11 +39,12 @@ Infeasibility is reported with the violated identity and its deviation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import takewhile
 
 from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar
-from .piecewise import StepFunction, combine, from_jumps
+from .piecewise import StepFunction, cells, combine, from_jumps
 from .system import EquippedSystem, check_fill, derive_n, pushforward_density
 
 FLOAT_TOL = FLOAT.tol
@@ -120,31 +122,46 @@ def _window_check(name: str, lo, hi, dev, tol, scalars: Backend) -> ConditionChe
     return ConditionCheck(name, Interval(lo, hi), dev, dev <= tol, False)
 
 
-def _sups(f: StepFunction, cuts: list) -> list:
-    """The sup of |f| on each window [cuts[k], cuts[k+1]), in one walk over f.
-    A piece counts where it ends past lo + snap and starts before hi - snap:
-    where it overlaps the window by more than the snap distance, as pieces of
-    S and A1 - S are wider than that.  A NaN on a counted piece makes the sup
-    NaN, and no counted piece makes it zero."""
-    bps, vals, snap = f.breakpoints, f.values, f.scalars.snap
+def _sups(pieces: list, cuts: list, scalars: Backend) -> list:
+    """The sup of |v| on each window [cuts[k], cuts[k+1]), in one walk over
+    ``pieces``, (start, end, v) in order.  An exact piece counts where it
+    ends past lo and starts before hi; a float one where it overlaps the
+    window by more than the snap distance, as pieces of S and A1 - S are
+    wider than that.  A NaN on a counted piece makes the sup NaN, and no
+    counted piece makes it zero."""
+    ends_by, starts_before = operator.le, operator.lt
+    if scalars.is_float:
+        ends_by, starts_before = (lambda t, lo: t - lo <= scalars.snap), (lambda t, hi: hi - t > scalars.snap)
     i, sups = 0, []
     for lo, hi in zip(cuts, cuts[1:]):
-        while i < len(vals) - 1 and bps[i + 1] - lo <= snap:
+        while i < len(pieces) - 1 and ends_by(pieces[i][1], lo):
             i += 1
-        devs = [abs(vals[j]) for j in takewhile(lambda j: hi - bps[j] > snap, range(i, len(vals)))]
-        sups.append(math.nan if f.is_float and any(map(math.isnan, devs)) else max(devs, default=f.scalars.zero))
+        counted = takewhile(lambda j: starts_before(pieces[j][0], hi), range(i, len(pieces)))
+        devs = [abs(pieces[j][2]) for j in counted]
+        sups.append(math.nan if scalars.is_float and any(map(math.isnan, devs)) else max(devs, default=scalars.zero))
     return sups
 
 
-def _checks(a, n: int, s: StepFunction, tol, weight_first=None) -> list:
-    """The full and short density checks, read off S, then given A1 the weight checks, read off A1 - S."""
+def _read(s: StepFunction, lo, hi, system: EquippedSystem | None = None) -> list:
+    """S, or given the system A1 - S, as pieces (start, end, value): exact ones
+    the cells of one walk on [lo, hi), float ones those of the function."""
+    if s.is_float:
+        f = s if system is None else system.weight_first - s
+        return list(zip(f.breakpoints, f.breakpoints[1:], f.values))
+    if system is None:
+        return [(t0, t1, v) for t0, t1, (v,) in cells((s,), lo, hi)]
+    return [(t0, t1, u * v - w) for t0, t1, (u, v, w) in cells((system.alpha1, system.density, s), lo, hi)]
+
+
+def _checks(a, n: int, s: StepFunction, tol, system: EquippedSystem | None = None) -> list:
+    """The full and short density checks, read off S, then given the system the weight checks, read off A1 - S."""
     split = 1 - (n - 1) * a  # the two density windows meet here
     windows = [(FULL_WINDOW, a, split), (SHORT_WINDOW, split, 2 * a)]
-    devs = _sups(s, [1 - a, n * a, 1])[::-1]  # S on [na, 1), then on [1-a, na)
-    if weight_first is not None:
+    devs = _sups(_read(s, 1 - a, 1), [1 - a, n * a, 1], s.scalars)[::-1]  # S on [na, 1), then on [1-a, na)
+    if system is not None:
         cuts = [k * a for k in range(1, n)] + [1 - a]
         windows += [(f"{WEIGHT_IDENTITY}[{m}]", lo, hi) for m, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
-        devs += _sups(weight_first - s, cuts)
+        devs += _sups(_read(s, a, 1 - a, system), cuts, s.scalars)
     return [_window_check(name, lo, hi, dev, tol, s.scalars) for (name, lo, hi), dev in zip(windows, devs)]
 
 
@@ -156,7 +173,7 @@ def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionRe
     """
     a, n = system.a, system.n
     tol = _tolerance(system.density.scalars, tol)
-    checks = _checks(a, n, _identity(a, n, system.density), tol, system.weight_first)
+    checks = _checks(a, n, _identity(a, n, system.density), tol, system)
     devs = [c.deviation for c in checks]
     max_deviation = max(devs) if all(d == d for d in devs) else math.nan  # max() can skip a NaN
     return ConditionReport(n, all(c.passed for c in checks), max_deviation, *checks[:2], tuple(checks[2:]))
@@ -170,14 +187,15 @@ def invariance_defect(system: EquippedSystem) -> StepFunction:
 def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol) -> StepFunction:
     """Divide the forced weight by p on [a, 1-a); use fill elsewhere.
 
-    Raises InfeasibleError("range", ...) when the forced alpha1 would
-    leave [0,1], including where p vanishes but the target does not.
+    Exact systems divide cell by cell in one walk, float ones through a
+    combine with the window's indicator.  Raises InfeasibleError("range",
+    ...) where the forced alpha1 would leave [0,1], or p vanishes but not the target.
     """
     b = density.scalars
     fill = check_fill(fill, b)
     zero, one = b.zero, b.one
 
-    def rule(tv, pv, inside):
+    def rule(tv, pv, inside=True):
         if not inside:
             return fill
         if pv == zero:
@@ -190,7 +208,10 @@ def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol
             raise InfeasibleError(RANGE, max(-r, r - 1))
         return min(max(r, zero), one)
 
-    return combine(rule, target, density, StepFunction.indicator(a, 1 - a))
+    if b.is_float:
+        return combine(rule, target, density, StepFunction.indicator(a, 1 - a))
+    inside = [(end, rule(*vs)) for _, end, vs in cells((target, density), a, 1 - a)]
+    return StepFunction([zero, a, *(t for t, _ in inside), one], [fill, *(r for _, r in inside), fill])
 
 
 def solve_alpha1(a, density: StepFunction, *, fill=0, tol=None) -> EquippedSystem:

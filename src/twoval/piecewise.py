@@ -267,31 +267,46 @@ class StepFunction:
 
 
 def combine(op, *fs: StepFunction) -> StepFunction:
-    """The function x -> op(f1(x), f2(x), ...), in one walk over the inputs' grids.
-
-    Exact grids are merged k ways: each cell ends at the least of the
-    inputs' next breakpoints, and each input whose next breakpoint that is
-    moves on, so nothing is hashed or sorted and each input's value on a
-    cell is the one it holds there.
-    """
+    """The function x -> op(f1(x), f2(x), ...): on exact inputs one :func:`cells`
+    walk over [0, 1], on float ones the snapped grid of :func:`_combine_floats`."""
     if len({f.is_float for f in fs}) > 1:
         raise MixedBackendError("cannot combine exact and float functions")
     if fs[0].is_float:
         return _combine_floats(op, fs)
-    one = fs[0].breakpoints[-1]
-    at = [0] * len(fs)
-    heads = [f.breakpoints[1] for f in fs]
-    bps, vals = [fs[0].breakpoints[0]], []
+    zero, one = fs[0].scalars.zero, fs[0].scalars.one
+    bps, vals = [zero], []
+    for _, end, vs in cells(fs, zero, one):
+        bps.append(end)
+        vals.append(op(*vs))
+    return StepFunction(bps, vals)
+
+
+def cells(fs, lo, hi) -> Iterator[tuple]:
+    """(start, end, values) for each cell of the exact inputs' merged grid on
+    [lo, hi) inside [0, 1], values holding each input's value there.  One
+    k-way walk: bisection finds each input's piece at lo and its end (with
+    no search where lo or hi ends its grid), each cell ends at the least of
+    the inputs' next breakpoints or at hi, and each input whose next
+    breakpoint that is moves on, so nothing is hashed or sorted."""
+    if not lo < hi:
+        return
+    at = [0 if lo == f.breakpoints[0] else bisect_right(f.breakpoints, lo) - 1 for f in fs]
+    stops = [len(f.values) if hi == f.breakpoints[-1] else bisect_left(f.breakpoints, hi) for f in fs]
+
+    def head(k):  # the end of input k's piece on the window
+        return fs[k].breakpoints[at[k] + 1] if at[k] + 1 < stops[k] else hi
+
+    heads, start = [head(k) for k in range(len(fs))], lo
     while True:
-        t = min(heads)
-        bps.append(t)
-        vals.append(op(*(f.values[i] for f, i in zip(fs, at))))
-        if t == one:
-            return StepFunction(bps, vals)
-        for k, f in enumerate(fs):
-            if heads[k] == t:
+        end = min(heads)
+        yield start, end, [f.values[i] for f, i in zip(fs, at)]
+        if end == hi:
+            return
+        for k, h in enumerate(heads):
+            if h == end:
                 at[k] += 1
-                heads[k] = f.breakpoints[at[k] + 1]
+                heads[k] = head(k)
+        start = end
 
 
 def _combine_floats(op, fs) -> StepFunction:
@@ -324,25 +339,27 @@ def from_jumps(jumps, scalars) -> StepFunction:
 
     Jumps at t <= 0 set the starting level and those at t >= 1 fall
     outside.  One sort and one running sum, of B linear terms in
-    O(B log B) comparisons.  Float sums are exact too, so no rounding
-    drifts along the grid: positions within the snap distance of the last
-    kept one move onto it, and each level is rounded once, to +-inf beyond
-    the double range and to NaN from a non-finite size on.
+    O(B log B) comparisons.  Exact positions t sort as pairs (fl(t), t),
+    fl(t) being t rounded to the nearest double: rounding is monotone, x < y
+    gives fl(x) <= fl(y), so the order is exact, and it compares exact
+    values only where doubles tie.  Float sums are exact too, so no
+    rounding drifts along the grid: positions within the snap distance of
+    the last kept one move onto it, and each level is rounded once, to
+    +-inf beyond the double range and to NaN from a non-finite size on.
     """
     zero, one = scalars.zero, scalars.one
-    jumps = sorted(jumps, key=itemgetter(0))
-    level = zero
     if scalars.is_float:
-        jumps, nan_from = _snapped_exact(jumps, scalars.snap)  # all below 1 - snap
-        level = Fraction(0)
+        jumps, nan_from = _snapped_exact(sorted(jumps, key=itemgetter(0)), scalars.snap)  # all below 1 - snap
+        keyed, level = [(t, t, size) for t, size in jumps], Fraction(0)  # a double is its own key
     else:
-        jumps = jumps[: bisect_left(jumps, one, key=itemgetter(0))]
-    bps = [zero]
-    vals = []
-    for t, size in jumps:
-        if t > bps[-1]:
+        keyed = sorted([(_nearest_double(t), t, size) for t, size in jumps], key=itemgetter(0, 1))
+        keyed, level = keyed[: bisect_left(keyed, (1.0, one), key=itemgetter(0, 1))], zero
+    bps, vals, last = [zero], [], (0.0, zero)
+    for key, t, size in keyed:
+        if (key, t) > last:  # the doubles decide unless they tie
             vals.append(level)
             bps.append(t)
+            last = (key, t)
         level = level + size
     vals.append(level)
     bps.append(one)
@@ -370,7 +387,7 @@ def _snapped_exact(jumps: list, snap: float) -> tuple[list, float]:
     return out, math.inf
 
 
-def _nearest_double(q: Fraction) -> float:
+def _nearest_double(q) -> float:
     try:
         return float(q)
     except OverflowError:

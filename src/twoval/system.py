@@ -9,9 +9,9 @@ maps differ only on the switch region [a, 1-a), that of Dajani and
 Kraaikamp's random beta-transformation, so alpha1 matters only there.
 
 :func:`pushforward_density` substitutes A2 = p - A1 into the four inverse
-branches and reads A1 on the switch region alone; :func:`pushforward_measure`
-integrates A1 and A2 over the four preimages directly, so the two agree
-only if both are right.
+branches and reads A1 on the switch region alone, on exact systems
+without building it; :func:`pushforward_measure` integrates A1 and A2 over
+the four preimages directly, so the two agree only if both are right.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .numerics import (
     parse_scalar,
     read_json,
 )
-from .piecewise import StepFunction, from_jumps, step_from_json_dict, step_to_json_dict
+from .piecewise import StepFunction, cells, from_jumps, step_from_json_dict, step_to_json_dict
 
 
 def derive_n(a) -> int:
@@ -62,7 +62,7 @@ class EquippedSystem:
     radicand between them.  The derived n = derive_n(a) comes for free.
     """
 
-    __slots__ = ("a", "density", "alpha1")
+    __slots__ = ("a", "density", "alpha1", "n")
 
     def __init__(self, a, density: StepFunction, alpha1: StepFunction):
         if not isinstance(density, StepFunction) or not isinstance(alpha1, StepFunction):
@@ -73,7 +73,7 @@ class EquippedSystem:
         a = density.scalars(a)
         if alpha1.is_float != density.is_float:
             raise MixedBackendError("a, density and alpha1 must share one backend")
-        derive_n(a)  # raises unless 0 < a <= 1/2
+        n = derive_n(a)  # raises unless 0 < a <= 1/2
         if not density.is_nonnegative():
             raise ValueError("density must be nonnegative")
         if alpha1.min_value < 0 or alpha1.max_value > 1:
@@ -81,6 +81,7 @@ class EquippedSystem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "density", density)
         object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "n", n)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("EquippedSystem is immutable")
@@ -88,10 +89,6 @@ class EquippedSystem:
     @property
     def is_float(self) -> bool:
         return isinstance(self.a, float)
-
-    @property
-    def n(self) -> int:
-        return derive_n(self.a)
 
     @property
     def weight_first(self) -> StepFunction:
@@ -127,14 +124,19 @@ def pushforward_density(system: EquippedSystem) -> StepFunction:
 
         w * [p|[0,a)(wy) + p|[a,1](wy + a) + A1|[a,w)(wy) - A1|[a,w)(wy + a)],
 
-    so A2 is never formed and A1 is read on [a, w) only.  One
-    :func:`~twoval.piecewise.from_jumps` sums those jumps moved through the
-    branches; mass is conserved, and at a = 1/2 alpha1 drops out.
+    so A2 is never formed and A1 is read on [a, w) only, on exact systems
+    as alpha1*p on the cells of one :func:`~twoval.piecewise.cells` walk.
+    One :func:`~twoval.piecewise.from_jumps` sums those jumps moved through
+    the branches; mass is conserved, and at a = 1/2 alpha1 drops out.
     """
     a = system.a
     w = 1 - a
     p = system.density
-    a1 = system.weight_first.jumps(a, w)
+    if p.is_float:
+        a1 = system.weight_first.jumps(a, w)
+    else:  # the levels of A1, then its jumps: each level less the one before
+        a1 = [(t, u * v) for t, _, (u, v) in cells((system.alpha1, p), a, w)]
+        a1 = [(t, x - y) for (t, x), (_, y) in zip(a1 + [(w, 0)], [(a, 0)] + a1)]
     scale = 1 / w
     low = p.jumps(0, a) + a1
     high = p.jumps(a, 1) + [(t, -v) for t, v in a1]

@@ -2,7 +2,9 @@
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from twoval.numerics import EXACT, FLOAT, MixedBackendError, MixedRadicandError,
 from twoval.piecewise import (
     NonpositiveSlopeError,
     StepFunction,
+    cells,
     combine,
     from_jumps,
     step_from_json,
@@ -270,6 +273,20 @@ class TestMergeWalk:
         assert h == TestResampleOracle.midpoint_rule(lambda u, v, w: u - v * w, f, g, k)
 
 
+class TestCells:
+    """The walk's cells on a window against the sorted union of the inputs'
+    breakpoints cut to the window, each input read at the cell's start."""
+
+    @given(st.lists(exact_steps(), min_size=1, max_size=3), st.data())
+    def test_cells_match_the_merged_grid(self, fs, data):
+        bps = sorted({t for f in fs for t in f.breakpoints})
+        ends = bps + [Fraction(1, 7), Fraction(5, 7)]
+        lo, hi = data.draw(st.sampled_from(ends)), data.draw(st.sampled_from(ends))
+        grid = [lo] + [t for t in bps if lo < t < hi] + [hi]
+        want = [(t0, t1, [f(t0) for f in fs]) for t0, t1 in zip(grid, grid[1:])] if lo < hi else []
+        assert list(cells(fs, EXACT(lo), EXACT(hi))) == want
+
+
 def jumps_by_scan(f: StepFunction, lo=None, hi=None) -> list:
     """StepFunction.jumps by its definition: every piece tested against (lo, hi) in turn."""
     bps = f.breakpoints
@@ -313,6 +330,13 @@ class TestJumps:
 
 
 class TestComposeAffine:
+    def test_slope_below_the_double_range(self):
+        # the moved jumps lie far beyond the doubles on both sides of [0,1]
+        f = StepFunction([0, Fraction(1, 4), Fraction(3, 4), 1], [1, 2, 3])
+        c = Fraction(1, 10**400)
+        assert f.compose_affine(c, 0) == StepFunction.constant(1)
+        assert f.compose_affine(c, H) == StepFunction.constant(2)
+
     def test_squeeze_with_zero_extension(self):
         f = StepFunction([0, H, 1], [2, 5])
         g = f.compose_affine(2, 0)  # g(x) = f(2x), zero once 2x > 1
@@ -372,10 +396,65 @@ class TestComposeAffine:
         assert g.breakpoints == (0.0, 0.5, 1.0)
 
 
+def from_jumps_by_sort(jumps, scalars) -> StepFunction:
+    """Exact from_jumps as one sort by the positions' own order and a running sum."""
+    zero, one = scalars.zero, scalars.one
+    jumps = sorted(jumps, key=itemgetter(0))
+    jumps = jumps[: bisect_left(jumps, one, key=itemgetter(0))]
+    bps, vals, level = [zero], [], zero
+    for t, size in jumps:
+        if t > bps[-1]:
+            vals.append(level)
+            bps.append(t)
+        level = level + size
+    return StepFunction(bps + [one], vals + [level])
+
+
+#: offsets that move a position by less than 2^-60, so that most positions
+#: round to the same double as the one they moved from
+NEAR_TIES = (Fraction(0), Fraction(1, 2**62), Fraction(-1, 2**61), Fraction(3, 2**64), Surd(0, Fraction(1, 2**66), 5))
+
+
+@st.composite
+def exact_jump_lists(draw):
+    """Jumps at positions around a few bases on a 1/32 grid from -1/8 to 9/8,
+    rational or in Q(sqrt(5)), moved by a NEAR_TIES offset; rational positions
+    are sometimes Fractions, and sizes are quarters."""
+    d = draw(st.sampled_from([1, 5]))
+    bases = [
+        Surd(Fraction(draw(st.integers(-4, 36)), 32), Fraction(draw(st.integers(-3, 3)), 64), d)
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    offsets = NEAR_TIES if d == 5 else NEAR_TIES[:-1]
+    jumps = []
+    for _ in range(draw(st.integers(0, 24))):
+        t = draw(st.sampled_from(bases)) + draw(st.sampled_from(offsets))
+        if not t.q1 and draw(st.booleans()):
+            t = t.q0
+        jumps.append((t, Fraction(draw(st.integers(-8, 8)), 4)))
+    return jumps
+
+
 class TestFromJumps:
     def test_exact_levels_are_running_sums(self):
         f = from_jumps([(H, Fraction(-3, 2)), (Fraction(-1, 3), 2), (Fraction(5, 4), 7), (Fraction(1, 4), 1)], EXACT)
         assert f == StepFunction([0, Fraction(1, 4), H, 1], [2, 3, Fraction(3, 2)])
+
+    @given(exact_jump_lists())
+    def test_exact_order_matches_the_sort_by_position(self, jumps):
+        assert from_jumps(jumps, EXACT) == from_jumps_by_sort(jumps, EXACT)
+
+    def test_positions_on_one_double_keep_their_exact_order(self):
+        # x, z, y round to one double, +-2^-1100 to +-0.0 and 1 - 2^-62 to 1.0
+        x, tiny = Fraction(1, 3), Fraction(1, 2**1100)
+        y, z = x + Fraction(1, 2**62), x + Surd(0, Fraction(1, 2**66), 5)
+        assert float(x) == float(y) == float(z) and x < z < y
+        below_one = 1 - Fraction(1, 2**62)
+        ties = [(y, 4), (below_one, 8), (x, 1), (tiny, 128), (z, 2), (-tiny, 16), (y, 32), (1, 64), (0, 256)]
+        f = from_jumps(ties, EXACT)
+        assert f.breakpoints == (0, tiny, x, z, y, below_one, 1)
+        assert f.values == (272, 400, 401, 403, 439, 447)
+        assert f == from_jumps_by_sort(ties, EXACT)
 
     def test_float_matched_pair_restores_the_level_exactly(self):
         # a float running sum gives 0.1 + 0.2 - 0.2 = 0.10000000000000003

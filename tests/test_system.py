@@ -1,5 +1,6 @@
 """Two-branch transformations: branch maps, equipped systems, pushforward."""
 
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -20,7 +21,7 @@ from conftest import (
 )
 from twoval import cli
 from twoval.numerics import Interval, MixedBackendError, MixedRadicandError, ParseError, Surd
-from twoval.piecewise import StepFunction, combine
+from twoval.piecewise import StepFunction, combine, step_to_json_dict
 from twoval.simulate import _advance
 from twoval.system import (
     EquippedSystem,
@@ -114,6 +115,13 @@ class TestEquippedSystem:
         s = golden_system()
         assert s.n == 2
         assert not s.is_float
+
+    def test_n_is_derived_once(self, monkeypatch):
+        s = golden_system()
+        calls = []
+        monkeypatch.setattr("twoval.system.derive_n", lambda a: calls.append(a) or 2)
+        assert (s.n, s.n) == (2, 2)
+        assert calls == []
 
     def test_weights_split_density(self):
         s = make_exact_system(random.Random(11))
@@ -240,9 +248,10 @@ class TestSwitchRegion:
             assert pushforward_density(as_float_system(first)) == pushforward_density(as_float_system(second))
 
 
-def _ragged_file(tmp_path, pieces: int, a) -> str:
+def _ragged_file(tmp_path, pieces: int, a) -> tuple[str, str]:
     """A system file like the benchmark's ragged ones: p and alpha1 of ``pieces``
-    pieces each on a 1/(16*pieces) grid, neighbouring values always different."""
+    pieces each on a 1/(16*pieces) grid, neighbouring values always different;
+    and a solve-alpha task file of another such p at a = 2/5."""
     rng = random.Random(f"ragged-file-{pieces}")
 
     def step(lo, hi, den):
@@ -256,14 +265,18 @@ def _ragged_file(tmp_path, pieces: int, a) -> str:
 
     path = tmp_path / f"ragged{pieces}.json"
     path.write_text(system_to_json(EquippedSystem(a, step(1, 12, 4), step(0, 8, 8))))
-    return str(path)
+    task = tmp_path / f"ragged{pieces}-task.json"
+    task.write_text(json.dumps({"a": "2/5", "p": step_to_json_dict(step(1, 12, 4))}))
+    return str(path), str(task)
 
 
 class TestComparisonCounts:
-    """Surd ordering comparisons of the exact CLI pushforward and check of a
-    48-piece ragged system.  The four-branch transfer with A2 = p - A1 formed
-    on all of [0,1], and a combine that sorted a set of breakpoints and
-    resampled each input, made about 3,700 and 5,100."""
+    """Surd ordering comparisons of the exact CLI pushforward, check and
+    solve-alpha of 48 pieces.  The four-branch transfer with A2 = p - A1
+    formed on all of [0,1], and a combine that sorted a set of breakpoints
+    and resampled each input, made about 3,700 and 5,100 in the first two;
+    A1 = alpha1*p and A1 - S built over [0, 1], and translate jumps sorted
+    by Surd comparisons, about 850, 2,700 and 1,900."""
 
     @staticmethod
     def count(argv, monkeypatch, capsys) -> tuple:
@@ -281,14 +294,19 @@ class TestComparisonCounts:
         return rc, len(calls)
 
     def test_pushforward(self, tmp_path, monkeypatch, capsys):
-        path = _ragged_file(tmp_path, 48, Fraction(5, 12))
+        path, _ = _ragged_file(tmp_path, 48, Fraction(5, 12))
         rc, calls = self.count(["pushforward", path, "-o", str(tmp_path / "push.json")], monkeypatch, capsys)
-        assert rc == 0 and calls <= 1200
+        assert rc == 0 and calls <= 700
 
     def test_check(self, tmp_path, monkeypatch, capsys):
-        path = _ragged_file(tmp_path, 48, Fraction(5, 12))
+        path, _ = _ragged_file(tmp_path, 48, Fraction(5, 12))
         rc, calls = self.count(["check", path], monkeypatch, capsys)
-        assert rc == 1 and calls <= 3000
+        assert rc == 1 and calls <= 1500
+
+    def test_solve_alpha(self, tmp_path, monkeypatch, capsys):
+        _, task = _ragged_file(tmp_path, 48, Fraction(5, 12))
+        rc, calls = self.count(["solve-alpha", task, "-o", str(tmp_path / "solved.json")], monkeypatch, capsys)
+        assert rc == 1 and calls <= 1000
 
 
 class TestPushforwardMeasure:
