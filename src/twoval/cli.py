@@ -259,6 +259,9 @@ def main(argv=None) -> int:
     except OverflowError:  # float() of an exact value; the value itself may run to pages
         print("error: a value is outside the float range", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 2
     except (ValueError, TypeError, MixedRadicandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,10 +26,10 @@ decides all three families.  With w = 1-a, let
 A1 = S on each J_m, where the k < -(m+1) terms vanish, and so do the
 k = -n ones as (n+1)a > 1.  The full identity at x is S(x + (n-1)a) and
 the short one S(x + (n-2)a), whose extra k = -n terms vanish for x < 2a.
-So the density identities say S = 0 on [na, 1) and [1-a, na), and the
-n+1 windows are consecutive on [a, 1): on an exact system one walk over
-S and one over alpha1, p and S read every sup, so S, one exact sum over
-the moved jumps of p, is the only function built.
+So the density identities say S = 0 on [na, 1) and [1-a, na), and each
+window's sup is read on the :func:`~twoval.piecewise.cells` of S, or of
+alpha1, p and S, there: S, one sum over the moved jumps of p, is the
+only function a check builds.
 
 :func:`solve_alpha1` inverts the weight identity: given (a, p) it checks
 the two density identities, reads A1 off the windows, and divides by p.
@@ -39,12 +39,10 @@ Infeasibility is reported with the violated identity and its deviation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import takewhile
 
 from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar
-from .piecewise import StepFunction, cells, combine, from_jumps
+from .piecewise import StepFunction, cells, from_jumps
 from .system import EquippedSystem, check_fill, derive_n, pushforward_density
 
 FLOAT_TOL = FLOAT.tol
@@ -122,47 +120,29 @@ def _window_check(name: str, lo, hi, dev, tol, scalars: Backend) -> ConditionChe
     return ConditionCheck(name, Interval(lo, hi), dev, dev <= tol, False)
 
 
-def _sups(pieces: list, cuts: list, scalars: Backend) -> list:
-    """The sup of |v| on each window [cuts[k], cuts[k+1]), in one walk over
-    ``pieces``, (start, end, v) in order.  An exact piece counts where it
-    ends past lo and starts before hi; a float one where it overlaps the
-    window by more than the snap distance, as pieces of S and A1 - S are
-    wider than that.  A NaN on a counted piece makes the sup NaN, and no
-    counted piece makes it zero."""
-    ends_by, starts_before = operator.le, operator.lt
-    if scalars.is_float:
-        ends_by, starts_before = (lambda t, lo: t - lo <= scalars.snap), (lambda t, hi: hi - t > scalars.snap)
-    i, sups = 0, []
-    for lo, hi in zip(cuts, cuts[1:]):
-        while i < len(pieces) - 1 and ends_by(pieces[i][1], lo):
-            i += 1
-        counted = takewhile(lambda j: starts_before(pieces[j][0], hi), range(i, len(pieces)))
-        devs = [abs(pieces[j][2]) for j in counted]
-        sups.append(math.nan if scalars.is_float and any(map(math.isnan, devs)) else max(devs, default=scalars.zero))
-    return sups
-
-
-def _read(s: StepFunction, lo, hi, system: EquippedSystem | None = None) -> list:
-    """S, or given the system A1 - S, as pieces (start, end, value): exact ones
-    the cells of one walk on [lo, hi), float ones those of the function."""
-    if s.is_float:
-        f = s if system is None else system.weight_first - s
-        return list(zip(f.breakpoints, f.breakpoints[1:], f.values))
-    if system is None:
-        return [(t0, t1, v) for t0, t1, (v,) in cells((s,), lo, hi)]
-    return [(t0, t1, u * v - w) for t0, t1, (u, v, w) in cells((system.alpha1, system.density, s), lo, hi)]
+def _sup(fs, lo, hi, read=lambda v: v) -> Scalar:
+    """The sup of |read(*values)| over the cells of ``fs`` on [lo, hi): NaN
+    if one is NaN, the backend's zero if there is no cell."""
+    devs = [abs(read(*vs)) for _, _, vs in cells(fs, lo, hi)]
+    return max(devs, default=fs[0].scalars.zero) if all(d == d for d in devs) else math.nan
 
 
 def _checks(a, n: int, s: StepFunction, tol, system: EquippedSystem | None = None) -> list:
-    """The full and short density checks, read off S, then given the system the weight checks, read off A1 - S."""
+    """The full and short density checks, S read on [na, 1) and on [1-a, na),
+    then given the system the weight checks, alpha1*p - S read on each J_m."""
     split = 1 - (n - 1) * a  # the two density windows meet here
-    windows = [(FULL_WINDOW, a, split), (SHORT_WINDOW, split, 2 * a)]
-    devs = _sups(_read(s, 1 - a, 1), [1 - a, n * a, 1], s.scalars)[::-1]  # S on [na, 1), then on [1-a, na)
+    windows = [
+        (FULL_WINDOW, a, split, _sup((s,), n * a, 1)),
+        (SHORT_WINDOW, split, 2 * a, _sup((s,), 1 - a, n * a)),
+    ]
     if system is not None:
         cuts = [k * a for k in range(1, n)] + [1 - a]
-        windows += [(f"{WEIGHT_IDENTITY}[{m}]", lo, hi) for m, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
-        devs += _sups(_read(s, a, 1 - a, system), cuts, s.scalars)
-    return [_window_check(name, lo, hi, dev, tol, s.scalars) for (name, lo, hi), dev in zip(windows, devs)]
+        fs = (system.alpha1, system.density, s)
+        windows += [
+            (f"{WEIGHT_IDENTITY}[{m}]", lo, hi, _sup(fs, lo, hi, lambda u, v, w: u * v - w))
+            for m, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        ]
+    return [_window_check(name, lo, hi, dev, tol, s.scalars) for name, lo, hi, dev in windows]
 
 
 def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionReport:
@@ -185,19 +165,15 @@ def invariance_defect(system: EquippedSystem) -> StepFunction:
 
 
 def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol) -> StepFunction:
-    """Divide the forced weight by p on [a, 1-a); use fill elsewhere.
-
-    Exact systems divide cell by cell in one walk, float ones through a
-    combine with the window's indicator.  Raises InfeasibleError("range",
-    ...) where the forced alpha1 would leave [0,1], or p vanishes but not the target.
+    """Divide the forced weight by p on [a, 1-a), cell by cell of the two;
+    use fill elsewhere.  Raises InfeasibleError("range", ...) where the
+    forced alpha1 would leave [0,1], or p vanishes but not the target.
     """
     b = density.scalars
     fill = check_fill(fill, b)
     zero, one = b.zero, b.one
 
-    def rule(tv, pv, inside=True):
-        if not inside:
-            return fill
+    def rule(tv, pv):
         if pv == zero:
             if not abs(tv) <= tol:
                 raise InfeasibleError(RANGE, abs(tv))
@@ -208,8 +184,6 @@ def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol
             raise InfeasibleError(RANGE, max(-r, r - 1))
         return min(max(r, zero), one)
 
-    if b.is_float:
-        return combine(rule, target, density, StepFunction.indicator(a, 1 - a))
     inside = [(end, rule(*vs)) for _, end, vs in cells((target, density), a, 1 - a)]
     return StepFunction([zero, a, *(t for t, _ in inside), one], [fill, *(r for _, r in inside), fill])
 

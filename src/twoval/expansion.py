@@ -31,6 +31,13 @@ power of beta per call, then one multiply and one subtract per distinct
 tail state, not one Horner pass per word.  On exact bases the values are
 exact; on float bases they carry rounding like any float sum.
 
+These are the branch words of the weighted system of :mod:`twoval.system`
+with beta = 1/(1-a): in the coordinate x = (beta-1)*y its branch x/(1-a)
+is y -> beta*y and its branch (x-a)/(1-a) is y -> beta*y - 1, so the low
+branch is digit 0 and the high one digit 1.  Where 0 < alpha1 < 1 on the
+switch region [a, 1-a), the words the system can follow from x are the
+expansions of x/(beta-1).
+
 The point and the base share one backend.  Exact bases give exact
 orbits; float bases widen each threshold by the float snap distance so that
 states grazing it through rounding keep the digits the exact orbit would

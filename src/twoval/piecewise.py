@@ -267,12 +267,10 @@ class StepFunction:
 
 
 def combine(op, *fs: StepFunction) -> StepFunction:
-    """The function x -> op(f1(x), f2(x), ...): on exact inputs one :func:`cells`
-    walk over [0, 1], on float ones the snapped grid of :func:`_combine_floats`."""
+    """The function x -> op(f1(x), f2(x), ...), one value on each of the
+    inputs' :func:`cells` on [0, 1]."""
     if len({f.is_float for f in fs}) > 1:
         raise MixedBackendError("cannot combine exact and float functions")
-    if fs[0].is_float:
-        return _combine_floats(op, fs)
     zero, one = fs[0].scalars.zero, fs[0].scalars.one
     bps, vals = [zero], []
     for _, end, vs in cells(fs, zero, one):
@@ -282,16 +280,33 @@ def combine(op, *fs: StepFunction) -> StepFunction:
 
 
 def cells(fs, lo, hi) -> Iterator[tuple]:
-    """(start, end, values) for each cell of the exact inputs' merged grid on
-    [lo, hi) inside [0, 1], values holding each input's value there.  One
-    k-way walk: bisection finds each input's piece at lo and its end (with
-    no search where lo or hi ends its grid), each cell ends at the least of
-    the inputs' next breakpoints or at hi, and each input whose next
-    breakpoint that is moves on, so nothing is hashed or sorted."""
+    """(start, end, values) for each cell of the inputs' merged grid on
+    [lo, hi) inside [0, 1], values holding each input's value there.
+
+    Exact inputs: one k-way walk.  Bisection finds each input's piece at lo
+    and its end (with no search where lo or hi ends its grid), each cell
+    ends at the least of the inputs' next breakpoints or at hi, and each
+    input whose next breakpoint that is moves on, so nothing is hashed or
+    sorted.  Float inputs: affine images of one exact point land on nearly
+    equal doubles, so breakpoints within the snap distance of the last kept
+    one (lo first) or of hi are fused onto it, and each input is read at
+    the midpoint of each fused cell.
+    """
     if not lo < hi:
         return
+    if fs[0].is_float:
+        snap, grid = fs[0].scalars.snap, [lo]
+        inside = (f.breakpoints[bisect_right(f.breakpoints, lo) : bisect_left(f.breakpoints, hi)] for f in fs)
+        for t in sorted(sum(inside, ())):
+            if t - grid[-1] > snap and hi - t > snap:
+                grid.append(t)
+        grid.append(hi)
+        for start, end in zip(grid, grid[1:]):
+            mid = (start + end) / 2
+            yield start, end, [f.values[bisect_right(f.breakpoints, mid) - 1] for f in fs]
+        return
     at = [0 if lo == f.breakpoints[0] else bisect_right(f.breakpoints, lo) - 1 for f in fs]
-    stops = [len(f.values) if hi == f.breakpoints[-1] else bisect_left(f.breakpoints, hi) for f in fs]
+    stops = [len(f.values) if hi == f.breakpoints[-1] else bisect_left(f.breakpoints, hi, i) for f, i in zip(fs, at)]
 
     def head(k):  # the end of input k's piece on the window
         return fs[k].breakpoints[at[k] + 1] if at[k] + 1 < stops[k] else hi
@@ -307,31 +322,6 @@ def cells(fs, lo, hi) -> Iterator[tuple]:
                 at[k] += 1
                 heads[k] = head(k)
         start = end
-
-
-def _combine_floats(op, fs) -> StepFunction:
-    """:func:`combine` on floats.  Affine images of one exact point land on
-    nearly equal doubles, so breakpoints within the snap distance of the
-    last kept one are fused onto it, and each input is read at the midpoint
-    of each fused cell, in one pass over its pieces."""
-    snap = fs[0].scalars.snap
-    grid = [0.0]
-    for t in sorted(set().union(*(f.breakpoints for f in fs)))[1:-1]:
-        if t - grid[-1] > snap:
-            grid.append(t)
-    if 1.0 - grid[-1] <= snap:
-        grid.pop()
-    grid.append(1.0)
-    mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
-    columns = []
-    for f in fs:
-        bps, vals, last, i = f.breakpoints, f.values, len(f.values) - 1, 0
-        columns.append([])
-        for x in mids:
-            while i < last and bps[i + 1] <= x:
-                i += 1
-            columns[-1].append(vals[i])
-    return StepFunction(grid, [op(*vs) for vs in zip(*columns)])
 
 
 def from_jumps(jumps, scalars) -> StepFunction:

@@ -6,12 +6,14 @@ a in (0, 1/2].  The first map sends [0, 1-a) up by x/(1-a) and the tail
 A point at x follows the first map with probability alpha1(x), so a
 density p splits into branch weights A1 = alpha1*p and A2 = p - A1.  The
 maps differ only on the switch region [a, 1-a), that of Dajani and
-Kraaikamp's random beta-transformation, so alpha1 matters only there.
+Kraaikamp's random beta-transformation, so alpha1 matters only there:
+with beta = 1/(1-a) and x = (beta-1)*y the branches are y -> beta*y - d,
+d = 0 low and 1 high, the digits of :mod:`twoval.expansion`.
 
 :func:`pushforward_density` substitutes A2 = p - A1 into the four inverse
-branches and reads A1 on the switch region alone, on exact systems
-without building it; :func:`pushforward_measure` integrates A1 and A2 over
-the four preimages directly, so the two agree only if both are right.
+branches and reads A1 on the switch region alone, without building it;
+:func:`pushforward_measure` integrates A1 and A2 over the four preimages
+directly, so the two agree only if both are right.
 """
 
 from __future__ import annotations
@@ -124,19 +126,17 @@ def pushforward_density(system: EquippedSystem) -> StepFunction:
 
         w * [p|[0,a)(wy) + p|[a,1](wy + a) + A1|[a,w)(wy) - A1|[a,w)(wy + a)],
 
-    so A2 is never formed and A1 is read on [a, w) only, on exact systems
-    as alpha1*p on the cells of one :func:`~twoval.piecewise.cells` walk.
-    One :func:`~twoval.piecewise.from_jumps` sums those jumps moved through
+    so A2 is never formed and A1 is read on [a, w) only, as alpha1*p on
+    the :func:`~twoval.piecewise.cells` of alpha1 and p there.  One
+    :func:`~twoval.piecewise.from_jumps` sums those jumps moved through
     the branches; mass is conserved, and at a = 1/2 alpha1 drops out.
     """
     a = system.a
     w = 1 - a
     p = system.density
-    if p.is_float:
-        a1 = system.weight_first.jumps(a, w)
-    else:  # the levels of A1, then its jumps: each level less the one before
-        a1 = [(t, u * v) for t, _, (u, v) in cells((system.alpha1, p), a, w)]
-        a1 = [(t, x - y) for (t, x), (_, y) in zip(a1 + [(w, 0)], [(a, 0)] + a1)]
+    # the levels of A1, then its jumps: each level less the one before
+    a1 = [(t, u * v) for t, _, (u, v) in cells((system.alpha1, p), a, w)]
+    a1 = [(t, x - y) for (t, x), (_, y) in zip(a1 + [(w, 0)], [(a, 0)] + a1)]
     scale = 1 / w
     low = p.jumps(0, a) + a1
     high = p.jumps(a, 1) + [(t, -v) for t, v in a1]

@@ -415,6 +415,19 @@ class TestSimulate:
         main(["simulate", path, "--samples", "500", "--seed", "4", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array with shape (1000000000000,)", ""])
+    def test_out_of_memory_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch, message):
+        # stands in for --samples or --bins too large to allocate; nothing that large is asked for
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(twoval.simulate, "run_chain", no_memory)
+        path = write_system(tmp_path, golden_system())
+        assert main(["simulate", path, "--samples", "1000000000000", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: out of memory")
+        assert message in err
+
 
 class TestExpand:
     def test_greedy_all_ones(self, capsys):

@@ -186,17 +186,16 @@ class TestLinearCost:
             check_invariance_conditions(system)
             assert calls == []
             assert len(jumps) == 1 and jumps[0] <= jump_cap
-            # exact: S only, the windows read in one walk over S and one over alpha1, p and S;
-            # float: S, A1 and A1 - S
-            assert len(builds) <= (3 if system.is_float else 1)
+            # S only, each window read on the cells of S or of alpha1, p and S there
+            assert len(builds) <= 1
             assert len(adds) <= add_cap
             for counters in (calls, jumps, builds, adds):
                 counters.clear()
             solve_alpha1(system.a, system.density)
             assert calls == []
             assert len(jumps) == 1 and jumps[0] <= jump_cap
-            # exact: S, then alpha1 from one walk; float: S, then alpha1 through one indicator and one combine
-            assert len(builds) <= (3 if system.is_float else 2)
+            # S, then alpha1 from the cells of S and p on [a, 1-a)
+            assert len(builds) <= 2
             assert len(adds) <= add_cap
 
     def test_lebesgue_320_under_half_a_second(self):

@@ -15,6 +15,7 @@ from twoval.expansion import (
     greedy_expansion,
     orbit_expansion,
 )
+from twoval.families import lebesgue_family, nonconstant_family
 from twoval.numerics import MixedBackendError, Surd, backend_of
 
 PHI = Surd(Fraction(1, 2), Fraction(1, 2), 5)
@@ -354,3 +355,44 @@ class TestEnumerate:
             for w in words:
                 diff = x - evaluate_expansion(w, PHI)
                 assert 0 <= diff <= tail * PHI ** (-6)
+
+
+def branch_words(system, x, length):
+    """Every word of branches, 0 for x -> x/(1-a) and 1 for x -> (x-a)/(1-a),
+    that the system follows from x with positive chance: the first map,
+    taken with chance alpha1(x), switches branch at 1-a and the second at a."""
+    a, w = system.a, 1 - system.a
+    layer = {x: [()]}
+    for _ in range(length):
+        nxt = {}
+        for y, words in layer.items():
+            first = system.alpha1(y)
+            branches = {0 if y < w else 1} if first > 0 else set()
+            if first < 1:
+                branches.add(0 if y < a else 1)
+            for d in branches:
+                nxt.setdefault((y - d * a) / w, []).extend(word + (d,) for word in words)
+        layer = nxt
+    return sorted((word for words in layer.values() for word in words), reverse=True)
+
+
+class TestRandomBetaTransformation:
+    """With beta = 1/(1-a) and x = (beta-1)*y, branch 0 is digit 0 and branch 1
+    digit 1 of y in base beta, so where 0 < alpha1 < 1 on [a, 1-a) the branch
+    words are the expansions."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lebesgue_family(4, fill=Fraction(1, 2)),
+            lebesgue_family(5, fill=Fraction(1, 2)),
+            nonconstant_family(2, 1, 1, fill=Fraction(1, 2)),
+            nonconstant_family(3, 1, 1, fill=Fraction(1, 2)),
+        ],
+        ids=["lebesgue4", "lebesgue5", "nonconstant2", "nonconstant3"],
+    )
+    def test_branch_words_are_the_expansions(self, system):
+        beta = 1 / (1 - system.a)
+        for k in range(16):
+            x = Fraction(k, 16)
+            assert branch_words(system, x, 8) == enumerate_expansions(x / (beta - 1), beta, 8)

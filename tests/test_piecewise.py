@@ -273,18 +273,48 @@ class TestMergeWalk:
         assert h == TestResampleOracle.midpoint_rule(lambda u, v, w: u - v * w, f, g, k)
 
 
+@st.composite
+def float_steps(draw):
+    """exact_steps on doubles, each cut with or without a twin within the snap distance."""
+    f = draw(exact_steps())
+    cuts = set()
+    for t in map(float, f.breakpoints[1:-1]):
+        cuts.add(t)
+        if draw(st.booleans()):
+            cuts.add(t + draw(st.sampled_from([-8e-13, -3e-13, 3e-13, 8e-13])))
+    vals = draw(st.lists(st.floats(-3, 3), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return StepFunction([0.0, *sorted(cuts), 1.0], vals)
+
+
 class TestCells:
     """The walk's cells on a window against the sorted union of the inputs'
-    breakpoints cut to the window, each input read at the cell's start."""
+    breakpoints cut to the window: exact inputs read at each cell's start;
+    float ones with each breakpoint within the snap distance of the last
+    kept one (lo first) fused onto it, the last kept one dropped if within
+    it of hi, and read at each cell's midpoint."""
 
-    @given(st.lists(exact_steps(), min_size=1, max_size=3), st.data())
-    def test_cells_match_the_merged_grid(self, fs, data):
+    @given(st.booleans(), st.data())
+    def test_cells_match_the_merged_grid(self, on_floats, data):
+        fs = data.draw(st.lists(float_steps() if on_floats else exact_steps(), min_size=1, max_size=3))
         bps = sorted({t for f in fs for t in f.breakpoints})
         ends = bps + [Fraction(1, 7), Fraction(5, 7)]
+        if on_floats:  # and ends within the snap distance of a breakpoint
+            ends = [float(t) for t in ends] + [min(max(t + d, 0.0), 1.0) for t in bps for d in (-5e-13, 5e-13)]
         lo, hi = data.draw(st.sampled_from(ends)), data.draw(st.sampled_from(ends))
-        grid = [lo] + [t for t in bps if lo < t < hi] + [hi]
-        want = [(t0, t1, [f(t0) for f in fs]) for t0, t1 in zip(grid, grid[1:])] if lo < hi else []
-        assert list(cells(fs, EXACT(lo), EXACT(hi))) == want
+        grid = [lo] + [t for t in bps if lo < t < hi]
+        if on_floats:
+            kept = grid[:1]
+            for t in grid[1:]:
+                if t - kept[-1] > FLOAT.snap:
+                    kept.append(t)
+            if len(kept) > 1 and hi - kept[-1] <= FLOAT.snap:
+                kept.pop()
+            grid = kept
+        grid.append(hi)
+        at = (lambda t0, t1: (t0 + t1) / 2) if on_floats else (lambda t0, t1: t0)
+        want = [(t0, t1, [f(at(t0, t1)) for f in fs]) for t0, t1 in zip(grid, grid[1:])] if lo < hi else []
+        scalars = FLOAT if on_floats else EXACT
+        assert list(cells(fs, scalars(lo), scalars(hi))) == want
 
 
 def jumps_by_scan(f: StepFunction, lo=None, hi=None) -> list:
