@@ -16,7 +16,7 @@ exactly when three families of identities hold:
 Together the J_m tile [a, 1-a); alpha1 is unconstrained on [0,a) and
 [1-a, 1].  Windows can be empty (at a = 1/n the full window and the last
 J_m vanish); windows no wider than the backend's snap distance hold
-vacuously.
+vacuously and are not read.
 
 Translates vanish where their argument leaves [0,1], so one function
 decides all three families.  With w = 1-a, let
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar
 from .piecewise import StepFunction, cells, from_jumps
@@ -113,10 +114,12 @@ def _tolerance(scalars: Backend, tol) -> Scalar:
     return tol
 
 
-def _window_check(name: str, lo, hi, dev, tol, scalars: Backend) -> ConditionCheck:
-    """The identity on [lo, hi) with deviation ``dev``; vacuous, at zero, if no wider than the snap distance."""
+def _window_check(name: str, lo, hi, sup, tol, scalars: Backend) -> ConditionCheck:
+    """The identity on [lo, hi) with deviation ``sup()``; vacuous, at zero
+    and unread, if no wider than the snap distance."""
     if not hi - lo > scalars.snap:
         return ConditionCheck(name, Interval(min(lo, hi), min(lo, hi)), scalars.zero, True, True)
+    dev = sup()
     return ConditionCheck(name, Interval(lo, hi), dev, dev <= tol, False)
 
 
@@ -132,17 +135,17 @@ def _checks(a, n: int, s: StepFunction, tol, system: EquippedSystem | None = Non
     then given the system the weight checks, alpha1*p - S read on each J_m."""
     split = 1 - (n - 1) * a  # the two density windows meet here
     windows = [
-        (FULL_WINDOW, a, split, _sup((s,), n * a, 1)),
-        (SHORT_WINDOW, split, 2 * a, _sup((s,), 1 - a, n * a)),
+        (FULL_WINDOW, a, split, partial(_sup, (s,), n * a, 1)),
+        (SHORT_WINDOW, split, 2 * a, partial(_sup, (s,), 1 - a, n * a)),
     ]
     if system is not None:
         cuts = [k * a for k in range(1, n)] + [1 - a]
         fs = (system.alpha1, system.density, s)
         windows += [
-            (f"{WEIGHT_IDENTITY}[{m}]", lo, hi, _sup(fs, lo, hi, lambda u, v, w: u * v - w))
+            (f"{WEIGHT_IDENTITY}[{m}]", lo, hi, partial(_sup, fs, lo, hi, lambda u, v, w: u * v - w))
             for m, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
         ]
-    return [_window_check(name, lo, hi, dev, tol, s.scalars) for name, lo, hi, dev in windows]
+    return [_window_check(name, lo, hi, sup, tol, s.scalars) for name, lo, hi, sup in windows]
 
 
 def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionReport:

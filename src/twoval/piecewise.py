@@ -303,7 +303,7 @@ def cells(fs, lo, hi) -> Iterator[tuple]:
         grid.append(hi)
         for start, end in zip(grid, grid[1:]):
             mid = (start + end) / 2
-            yield start, end, [f.values[bisect_right(f.breakpoints, mid) - 1] for f in fs]
+            yield start, end, [f.values[min(bisect_right(f.breakpoints, mid), len(f.values)) - 1] for f in fs]
         return
     at = [0 if lo == f.breakpoints[0] else bisect_right(f.breakpoints, lo) - 1 for f in fs]
     stops = [len(f.values) if hi == f.breakpoints[-1] else bisect_left(f.breakpoints, hi, i) for f, i in zip(fs, at)]

@@ -379,9 +379,11 @@ class TestFloatBackend:
         assert abs(s.alpha1(0.6) - 1 / 3) < 1e-12
 
 
-    @pytest.mark.parametrize("n", [n for n in range(3, 13) if derive_n(1 / n) == n])
+    @pytest.mark.parametrize("n", [n for n in [*range(3, 13), 49] if derive_n(1 / n) == n])
     def test_reciprocal_parameter_statuses_match_exact(self, n):
-        # windows that are empty at a = 1/n are slivers of an ulp or two in floats
+        # windows that are empty at a = 1/n are slivers of an ulp or two in
+        # floats; 49 is the least n with fl(1/n) * n < 1, where [na, 1) is
+        # one ulp wide and its midpoint rounds to 1
         def statuses(system):
             return [(c.name, c.vacuous, c.passed) for c in check_invariance_conditions(system).checks]
 

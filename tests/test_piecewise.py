@@ -298,8 +298,9 @@ class TestCells:
         fs = data.draw(st.lists(float_steps() if on_floats else exact_steps(), min_size=1, max_size=3))
         bps = sorted({t for f in fs for t in f.breakpoints})
         ends = bps + [Fraction(1, 7), Fraction(5, 7)]
-        if on_floats:  # and ends within the snap distance of a breakpoint
+        if on_floats:  # and ends within the snap distance of a breakpoint, or one ulp below it
             ends = [float(t) for t in ends] + [min(max(t + d, 0.0), 1.0) for t in bps for d in (-5e-13, 5e-13)]
+            ends += [math.nextafter(t, 0.0) for t in bps]
         lo, hi = data.draw(st.sampled_from(ends)), data.draw(st.sampled_from(ends))
         grid = [lo] + [t for t in bps if lo < t < hi]
         if on_floats:
@@ -315,6 +316,11 @@ class TestCells:
         want = [(t0, t1, [f(at(t0, t1)) for f in fs]) for t0, t1 in zip(grid, grid[1:])] if lo < hi else []
         scalars = FLOAT if on_floats else EXACT
         assert list(cells(fs, scalars(lo), scalars(hi))) == want
+
+    def test_one_ulp_window_at_one_reads_the_last_piece(self):
+        # the window's midpoint rounds up to 1, the last breakpoint
+        lo = math.nextafter(1.0, 0.0)
+        assert list(cells((StepFunction([0.0, 0.5, 1.0], [1.0, 2.0]),), lo, 1.0)) == [(lo, 1.0, [2.0])]
 
 
 def jumps_by_scan(f: StepFunction, lo=None, hi=None) -> list:
