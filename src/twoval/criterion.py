@@ -44,7 +44,7 @@ from functools import partial
 
 from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar
 from .piecewise import StepFunction, cells, from_jumps
-from .system import EquippedSystem, check_fill, derive_n, pushforward_density
+from .system import _MAX_N, EquippedSystem, check_fill, derive_n, pushforward_density
 
 FLOAT_TOL = FLOAT.tol
 
@@ -98,6 +98,8 @@ def _identity(a, n: int, p: StepFunction) -> StepFunction:
     The plus translates move the jumps of p to t - ka and the minus ones
     to t(1-a) - ka, scaled by -1/(1-a); one :func:`from_jumps` sums them.
     """
+    if n > _MAX_N:
+        raise ValueError(f"need a > 1/{_MAX_N + 1}, so that n <= {_MAX_N}")
     w = 1 - a
     plus = p.jumps()
     minus = [(t * w, -v / w) for t, v in plus]

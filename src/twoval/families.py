@@ -13,9 +13,11 @@ Both leave alpha1 free outside [a, 1-a) (the ``fill`` argument), and
 wherever the density level is zero the weight identity holds for any
 alpha1, so fill is used there too.
 
-:func:`total_mass` gives the closed-form mass of the nonconstant density,
-and the renyi_* functions expose the golden-ratio beta-map transfer
-operator together with its exact fixed density.
+:func:`total_mass` gives the closed-form mass of the nonconstant density.
+At n = 2 with gamma = 0 (:func:`renyi_system`) alpha1 is 0 and the density
+vanishes on [1/phi, 1], phi the golden ratio: on [0, 1/phi) that system is
+Renyi's map x -> phi*x mod 1, rescaled, and the renyi_* functions are the
+map's transfer operator and exact fixed density.
 """
 
 from __future__ import annotations
@@ -23,12 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .numerics import EXACT, Scalar, Surd
-from .piecewise import StepFunction, from_jumps
-from .system import EquippedSystem, check_fill
-
-
-#: the largest n a family is built for; lebesgue_family(_MAX_N) checks in about a second
-_MAX_N = 10**4
+from .piecewise import StepFunction
+from .system import _MAX_N, EquippedSystem, check_fill, pushforward_density
 
 
 def _check_n(n: int) -> None:
@@ -153,29 +151,31 @@ _GOLDEN_INV = Surd(Fraction(-1, 2), Fraction(1, 2), 5)
 
 
 def renyi_transfer(f: StepFunction) -> StepFunction:
-    """Transfer operator of x -> beta*x mod 1 at beta = (1+sqrt(5))/2.
+    """Transfer operator of x -> beta*x mod 1 at beta = (1+sqrt(5))/2, on a density f >= 0.
 
-    (Lf)(y) = (1/beta) * [f(y/beta) + f((y+1)/beta)], the second term
-    vanishing once (y+1)/beta leaves [0,1].
+    (Lf)(y) = (1/beta) * [f(y/beta) + f((y+1)/beta)]: the
+    :func:`~twoval.system.pushforward_density` of the golden n = 2 system
+    with alpha1 = 0, conjugated by the rescaling of [0, 1/beta) onto [0,1].
     """
     c = float(_GOLDEN_INV) if f.is_float else _GOLDEN_INV
-    return from_jumps([(t / c - k, c * v) for k in (0, 1) for t, v in f.jumps()], f.scalars)
+    alpha1 = StepFunction.constant(f.scalars.zero)
+    return pushforward_density(EquippedSystem(1 - c, f.compose_affine(1 / c, 0), alpha1)).compose_affine(c, 0)
 
 
 def renyi_density() -> StepFunction:
-    """The exact unit-mass density fixed by :func:`renyi_transfer`.
+    """The exact unit-mass density fixed by :func:`renyi_transfer`: that of
+    :func:`renyi_system` on [0, 1/beta), rescaled onto [0,1].
 
     Two levels, (5+3*sqrt(5))/10 below 1/beta and (5+sqrt(5))/10 above.
     """
-    b1 = Surd(Fraction(1, 2), Fraction(3, 10), 5)
-    b2 = Surd(Fraction(1, 2), Fraction(1, 10), 5)
-    return StepFunction([0, _GOLDEN_INV, 1], [b1, b2])
+    return renyi_system().density.compose_affine(_GOLDEN_INV, 0)
 
 
 def renyi_system() -> EquippedSystem:
     """The n = 2 family member whose levels are the fixed-density values.
 
     Taking beta = (5+3*sqrt(5))/10 and gamma = 0 makes the middle density
-    level equal (5+sqrt(5))/10, the second fixed-density value.
+    level equal (5+sqrt(5))/10, the second fixed-density value.  Its alpha1
+    is 0: on [0, 1/phi) it is x -> phi*x mod 1, phi the golden ratio, rescaled.
     """
     return nonconstant_family(2, Surd(Fraction(1, 2), Fraction(3, 10), 5), 0)

@@ -16,7 +16,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Iterator, Sequence
 
 from .numerics import (
@@ -95,24 +95,11 @@ class StepFunction:
 
     @classmethod
     def indicator(cls, lo, hi) -> "StepFunction":
-        """Characteristic function of [lo, hi) inside [0,1], on the endpoints' backend."""
+        """Characteristic function of [lo, hi) inside [0,1], on the endpoints'
+        backend: :func:`from_jumps` of a jump up at lo and one down at hi."""
         b = backend_of(lo, hi)
-        zero, one = b.zero, b.one
-        lo = max(zero, min(one, b(lo)))
-        hi = max(zero, min(one, b(hi)))
-        if not lo < hi:
-            return cls([zero, one], [zero])
-        bps = [zero]
-        vals = []
-        if lo > zero:
-            bps.append(lo)
-            vals.append(zero)
-        vals.append(one)
-        if hi < one:
-            bps.append(hi)
-            vals.append(zero)
-        bps.append(one)
-        return cls(bps, vals)
+        lo, hi = b(lo), b(hi)
+        return from_jumps([(lo, 1), (hi, -1)] if lo < hi else [], b)
 
     @property
     def is_float(self) -> bool:
@@ -166,22 +153,20 @@ class StepFunction:
     def _zip_with(self, other, op) -> "StepFunction":
         if isinstance(other, StepFunction):
             return combine(op, self, other)
+        if not isinstance(other, (int, Fraction, Surd, float)):
+            return NotImplemented
         s = self.scalars(other)
         return StepFunction(self.breakpoints, [op(v, s) for v in self.values])
 
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (StepFunction, int, Fraction, Surd, float)):
-            return NotImplemented
-        return self._zip_with(other, lambda a, b: a + b)
+        return self._zip_with(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (StepFunction, int, Fraction, Surd, float)):
-            return NotImplemented
-        return self._zip_with(other, lambda a, b: a - b)
+        return self._zip_with(other, sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -193,17 +178,12 @@ class StepFunction:
         return StepFunction(self.breakpoints, [abs(v) for v in self.values])
 
     def __mul__(self, other):
-        if not isinstance(other, (StepFunction, int, Fraction, Surd, float)):
-            return NotImplemented
-        return self._zip_with(other, lambda a, b: a * b)
+        return self._zip_with(other, mul)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, StepFunction):
-            return NotImplemented
-        s = self.scalars(other)
-        return StepFunction(self.breakpoints, [v / s for v in self.values])
+    def __truediv__(self, other):  # by a scalar only
+        return NotImplemented if isinstance(other, StepFunction) else self._zip_with(other, truediv)
 
     def mask(self, lo, hi) -> "StepFunction":
         """Zero the function outside [lo, hi), whatever its values there (inf too)."""
@@ -247,17 +227,12 @@ class StepFunction:
     # -- measures and norms ----------------------------------------------
 
     def integrate(self, lo=None, hi=None) -> Scalar:
-        """Integral over [lo, hi] (defaults: all of [0,1])."""
-        zero = self.scalars.zero
-        lo = zero if lo is None else self.scalars(lo)
-        hi = self.scalars.one if hi is None else self.scalars(hi)
-        total = zero
-        for t0, t1, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
-            a = t0 if t0 > lo else lo
-            b = t1 if t1 < hi else hi
-            if b > a:
-                total = total + v * (b - a)
-        return total
+        """Integral over [lo, hi] (defaults: all of [0,1]), summed over the
+        :func:`cells` of the window's part inside [0, 1]."""
+        zero, one = self.scalars.zero, self.scalars.one
+        lo = zero if lo is None else max(self.scalars(lo), zero)
+        hi = one if hi is None else min(self.scalars(hi), one)
+        return sum((v * (t1 - t0) for t0, t1, (v,) in cells((self,), lo, hi)), zero)
 
     def sup_norm(self) -> Scalar:
         """Essential sup of |f|: the largest |value| over the pieces, NaN if one is NaN."""

@@ -35,6 +35,10 @@ from .numerics import (
 from .piecewise import StepFunction, cells, from_jumps, step_from_json_dict, step_to_json_dict
 
 
+#: the largest n the families and the criterion take; lebesgue_family(_MAX_N) checks in about a second
+_MAX_N = 10**4
+
+
 def derive_n(a) -> int:
     """The integer n >= 2 with 1/(n+1) < a <= 1/n, by doubling then bisection."""
     if not 0 < a or Fraction(1, 2) < a:

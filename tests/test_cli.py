@@ -186,6 +186,87 @@ class TestCheck:
         )
 
 
+class TestParameterCap:
+    """check and solve-alpha build 2n+1 translates, so n = derive_n(a) is capped
+    as the families' n is; pushforward and simulate do not depend on n."""
+
+    UNIT = {"float": StepFunction.constant(1.0), "exact": StepFunction.constant(Fraction(1))}
+
+    def _write(self, tmp_path, a, backend):
+        p = step_to_json_dict(self.UNIT[backend])
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"a": a, "p": p, "alpha1": p}), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("a,backend", [(1e-300, "float"), ("1/10001", "exact"), ("1/10000000000000", "exact")])
+    @pytest.mark.parametrize("command", ["check", "solve-alpha"])
+    def test_n_above_cap_exits_two(self, tmp_path, capsys, a, backend, command):
+        path = self._write(tmp_path, a, backend)
+        t0 = time.perf_counter()
+        assert main([command, path]) == 2
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need a > 1/{families._MAX_N + 1}, so that n <= {families._MAX_N}\n"
+
+    def test_n_at_cap_is_read(self, tmp_path, capsys):
+        # 1/a = 10000.3, so n = 10^4; the uniform density is not invariant there
+        assert main(["check", self._write(tmp_path, 9.9997e-05, "float")]) == 1
+        assert f"(n={families._MAX_N}," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("a,backend", [(1e-300, "float"), ("1/10001", "exact")])
+    def test_pushforward_and_simulate_take_any_n(self, tmp_path, capsys, a, backend):
+        path = self._write(tmp_path, a, backend)
+        assert main(["pushforward", path]) == 0
+        assert step_from_json(capsys.readouterr().out).integrate() == 1
+        assert main(["simulate", path, "--seed", "1", "--samples", "100"]) == 0
+
+
+class TestInputGuards:
+    """Malformed scalars and step-function entries reach the user as exit 2
+    with one parse-error line."""
+
+    @staticmethod
+    def _check(tmp_path, capsys, edit):
+        d = system_to_json_dict(lebesgue_family(3))
+        edit(d)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert len(captured.err.splitlines()) == 1
+        return captured.err
+
+    @pytest.mark.parametrize(
+        "a,message",
+        [
+            ("1e400", "non-finite scalar '1e400'"),
+            ("1/0 + sqrt(2)", "zero denominator in '1/0 + sqrt(2)'"),
+            ("1/3++sqrt(2)", "bad scalar '1/3++sqrt(2)'"),
+            ("1/3+", "bad scalar '1/3+'"),
+        ],
+    )
+    def test_bad_parameter_text(self, tmp_path, capsys, a, message):
+        assert self._check(tmp_path, capsys, lambda d: d.update(a=a)) == f"parse error: {message}\n"
+
+    def test_breakpoints_not_an_array(self, tmp_path, capsys):
+        err = self._check(tmp_path, capsys, lambda d: d["p"].update(breakpoints="0,1"))
+        assert err == "parse error: breakpoints and values must be arrays\n"
+
+    @pytest.mark.parametrize("key", ["breakpoints", "values"])
+    def test_bool_entry(self, tmp_path, capsys, key):
+        entries = {"breakpoints": ["0", True], "values": [True]}
+        err = self._check(tmp_path, capsys, lambda d: d["p"].update({key: entries[key]}))
+        assert err == "parse error: bool is not a scalar\n"
+
+    @pytest.mark.parametrize("entry", [0.5, [1]], ids=["float", "list"])
+    def test_non_text_entry_on_the_exact_backend(self, tmp_path, capsys, entry):
+        err = self._check(tmp_path, capsys, lambda d: d["p"].update(values=[entry]))
+        assert err == f"parse error: exact backend requires string or integer entries, got {entry!r}\n"
+
+
 class TestTolerance:
     """``--tol`` is read exactly, so it works on exact systems and rejects nan and inf."""
 

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_close_on_cells, compose_by_preimages, make_float_step
+from conftest import assert_close_on_cells, compose_by_preimages, make_exact_step, make_float_step
 from twoval.criterion import check_invariance_conditions, invariance_defect, solve_alpha1
 from twoval.families import (
+    _GOLDEN_INV,
     lebesgue_family,
     nonconstant_family,
     renyi_density,
@@ -16,7 +17,7 @@ from twoval.families import (
     total_mass,
 )
 from twoval.numerics import Surd
-from twoval.piecewise import StepFunction
+from twoval.piecewise import StepFunction, from_jumps
 from twoval.system import EquippedSystem, as_float_system
 
 WEIGHT_PAIRS = [(1, 0), (0, 1), (1, 2), (3, 5)]
@@ -176,6 +177,28 @@ class TestRenyi:
         hf = StepFunction([float(t) for t in h.breakpoints], [float(v) for v in h.values])
         assert (renyi_transfer(hf) - hf).sup_norm() < 1e-15
 
+    def test_exact_transfer_matches_the_jump_formula(self):
+        # (Lf)(y) = c*f(c*y) + c*f(c*y + c) moves each jump of f to t/c and t/c - 1
+        c = _GOLDEN_INV
+        rng = random.Random("renyi-exact")
+        root5 = Surd(0, 1, 5)
+        for i in range(40):
+            f = make_exact_step(rng, max_cuts=8, lo=0)
+            if i % 2:  # values in Q(sqrt(5)) too
+                f = StepFunction(f.breakpoints, [v + rng.randint(0, 3) * root5 for v in f.values])
+            oracle = from_jumps([(t / c - k, c * v) for k in (0, 1) for t, v in f.jumps()], f.scalars)
+            assert renyi_transfer(f) == oracle
+
+    def test_transfer_takes_densities_only(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            renyi_transfer(StepFunction([0, Fraction(1, 2), 1], [1, -1]))
+
+    def test_density_is_the_system_density_rescaled(self):
+        s = renyi_system()
+        assert s.alpha1 == StepFunction.constant(0)
+        assert s.density.breakpoints[-2] == _GOLDEN_INV and s.density.values[-1] == 0
+        assert renyi_density() == s.density.compose_affine(_GOLDEN_INV, 0)
+
     def test_float_transfer_matches_composed_terms(self):
         c = float(renyi_density().breakpoints[1])  # 1/beta
         rng = random.Random("renyi-float")
@@ -185,3 +208,20 @@ class TestRenyi:
         for f in fs:
             oracle = c * (compose_by_preimages(f, c, 0) + compose_by_preimages(f, c, c))
             assert_close_on_cells(renyi_transfer(f), oracle)
+
+
+class TestCoinIdentity:
+    """At golden a with alpha1 constant at p, the n = 2 density with outer
+    levels 1 - p and p is invariant: each point flips a p-coin for its digit."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), 1, Surd(Fraction(1, 2), Fraction(1, 10), 5), _GOLDEN_INV],
+        ids=["0", "1/2", "1/3", "2/7", "1", "1/2+sqrt5/10", "1/phi"],
+    )
+    def test_constant_alpha1_keeps_the_density(self, p):
+        s = nonconstant_family(2, 1 - p, p)
+        coin = EquippedSystem(s.a, s.density, StepFunction.constant(p))
+        report = check_invariance_conditions(coin)
+        assert report.passed and report.max_deviation == 0
+        assert invariance_defect(coin).sup_norm() == 0

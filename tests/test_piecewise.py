@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_exact_step, make_float_step
-from twoval.numerics import EXACT, FLOAT, MixedBackendError, MixedRadicandError, ParseError, Surd
+from twoval.numerics import EXACT, FLOAT, MixedBackendError, MixedRadicandError, ParseError, Surd, backend_of
 from twoval.piecewise import (
     NonpositiveSlopeError,
     StepFunction,
@@ -566,6 +566,89 @@ class TestMeasures:
         # max() skips a NaN that is not first, which would pass a NaN deviation
         f = StepFunction([0.0, 0.5, 1.0], [0.0, float("nan")])
         assert f.sup_norm() != f.sup_norm()
+
+
+def indicator_by_cases(lo, hi) -> StepFunction:
+    """StepFunction.indicator built piece by piece: the endpoints clamped to
+    [0,1], then a zero piece below lo and above hi where they are inside."""
+    b = backend_of(lo, hi)
+    zero, one = b.zero, b.one
+    lo = max(zero, min(one, b(lo)))
+    hi = max(zero, min(one, b(hi)))
+    if not lo < hi:
+        return StepFunction([zero, one], [zero])
+    bps, vals = [zero], []
+    if lo > zero:
+        bps.append(lo)
+        vals.append(zero)
+    vals.append(one)
+    if hi < one:
+        bps.append(hi)
+        vals.append(zero)
+    bps.append(one)
+    return StepFunction(bps, vals)
+
+
+def integrate_by_pieces(f: StepFunction, lo=None, hi=None):
+    """StepFunction.integrate as a scan: every piece cut to [lo, hi] in turn."""
+    zero = f.scalars.zero
+    lo = zero if lo is None else f.scalars(lo)
+    hi = f.scalars.one if hi is None else f.scalars(hi)
+    total = zero
+    for t0, t1, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
+        a = t0 if t0 > lo else lo
+        b = t1 if t1 < hi else hi
+        if b > a:
+            total = total + v * (b - a)
+    return total
+
+
+class TestIndicatorAndIntegrate:
+    """indicator is from_jumps of two jumps and integrate sums the cells of
+    its window, held to the piece-by-piece constructions they replace."""
+
+    @pytest.mark.parametrize("on_floats", [False, True])
+    @pytest.mark.parametrize(
+        "lo,hi,want",
+        [(-1, 2, 4), (-H, H, Fraction(3, 2)), (H, 3, Fraction(5, 2)), (2, 3, 0), (-2, -1, 0)],
+    )
+    def test_windows_reaching_outside_the_unit_interval(self, on_floats, lo, hi, want):
+        f = StepFunction([0, Fraction(1, 3), 1], [2, 5])
+        if on_floats:
+            f = StepFunction([0.0, 1 / 3, 1.0], [2.0, 5.0])
+            assert f.integrate(float(lo), float(hi)) == pytest.approx(float(want), abs=1e-15)
+        else:
+            assert f.integrate(lo, hi) == want
+
+    @given(windows())
+    def test_integrate_matches_the_scan(self, case):
+        f, lo, hi = case
+        want = integrate_by_pieces(f, lo, hi)
+        if f.is_float:
+            assert f.integrate(lo, hi) == pytest.approx(want, abs=1e-12)
+        else:
+            assert f.integrate(lo, hi) == want
+
+    def test_exact_integrate_matches_the_scan_on_ragged_functions(self):
+        rng = random.Random("integrate")
+        for _ in range(40):
+            f = _ragged_exact(rng, rng.randint(1, 24))
+            lo, hi = (Fraction(rng.randint(-500, 1500), 1000) for _ in range(2))
+            assert f.integrate(lo, hi) == integrate_by_pieces(f, lo, hi)
+
+    @given(
+        st.fractions(min_value=-1, max_value=2, max_denominator=30),
+        st.fractions(min_value=-1, max_value=2, max_denominator=30),
+    )
+    def test_exact_indicator_matches_the_cases(self, lo, hi):
+        assert StepFunction.indicator(lo, hi) == indicator_by_cases(lo, hi)
+        root5 = Surd(0, 1, 5) / 5
+        assert StepFunction.indicator(lo + root5, hi) == indicator_by_cases(lo + root5, hi)
+
+    def test_float_endpoints_within_the_snap_fuse(self):
+        assert StepFunction.indicator(1e-13, 0.5) == StepFunction.indicator(0.0, 0.5)
+        assert StepFunction.indicator(0.3, 0.3 + 1e-13) == StepFunction.constant(0.0)
+        assert StepFunction.indicator(0.25, 0.75) == indicator_by_cases(0.25, 0.75)
 
 
 class TestFloatSnap:
