@@ -28,6 +28,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 
@@ -43,8 +44,9 @@ class ParseError(ValueError):
     """A scalar, step-function or system text form could not be parsed."""
 
 
+@lru_cache(maxsize=1024)
 def _square_free_split(v: int) -> tuple[int, int]:
-    """Return ``(s, d)`` with ``v == s*s*d`` and ``d`` square-free."""
+    """Return ``(s, d)`` with ``v == s*s*d`` and ``d`` square-free; kept for the last 1,024 radicands."""
     if v < 0:
         raise ValueError("radicand must be nonnegative")
     if v > 10**12:  # trial division below costs about 0.2 s at this cap
@@ -378,8 +380,8 @@ def backend_of(*xs) -> Backend:
 
 
 _FLOAT_MARK = re.compile(r"[.eE]")
-_TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
-_SURD_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)")
+#: a term: sign, then p/q*sqrt(d) (groups 2-4) or p/q (5-6); else a bad term up to the next sign
+_TERM = re.compile(r"([+-]?)(?:(?:(\d+)(?:/(\d+))?\*)?sqrt\((\d+)\)|(\d+)(?:/(\d+))?)(?=[+-]|\Z)|[+-]?[^+-]+")
 _RATIONAL_TERM = re.compile(r"[+-]?\d+(?:/\d+)?")
 _DIGITS = re.compile(r"\d+")
 
@@ -406,10 +408,10 @@ def _echo(text: str) -> str:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse ``p/q``, ``q0 + q1*sqrt(d)``, or a decimal.
+    """Parse a sum of ``p/q`` and ``p/q*sqrt(d)`` terms over one radicand, or a decimal.
 
     Decimal forms (anything with a point or exponent) parse to a float and
-    therefore force the float backend; everything else stays exact.
+    therefore force the float backend; everything else stays exact, summed in integers.
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -432,33 +434,30 @@ def parse_scalar(text: str) -> Scalar:
         return v
     if limit and len(s) > limit and any(len(run) > limit for run in _DIGITS.findall(s)):
         raise ParseError(_digit_limit())
-    total = EXACT.zero
+    n0, d0, n1, d1, rad = 0, 1, 0, 1, 1  # the sum n0/d0 + (n1/d1)*sqrt(rad)
     pos = 0
-    try:
-        for m in _TERM_SPLIT.finditer(s):
-            if m.start() != pos:
-                raise ParseError(f"bad scalar {_echo(text)}")
-            pos = m.end()
-            term = m.group(0)
-            sm = _SURD_TERM.fullmatch(term)
-            if sm:
-                sign, coeff, d = sm.groups()
-                q1 = Fraction(coeff) if coeff else Fraction(1)
-                if sign == "-":
-                    q1 = -q1
-                total = total + Surd(0, q1, int(d))
+    for m in _TERM.finditer(s):
+        if m.start() != pos:
+            raise ParseError(f"bad scalar {_echo(text)}")
+        pos = m.end()
+        sign, p, q, root, rp, rq = m.groups()
+        if root is None and rp is None:
+            raise ParseError(f"bad scalar term {_echo(m.group(0))} in {_echo(text)}")
+        p, q = int(sign + (rp or p or "1")), int(rq or q or "1")
+        if not q:
+            raise ParseError(f"zero denominator in {_echo(text)}")
+        if root is not None and p:
+            r, d = _square_free_split(int(root))
+            p *= r
+            if d != 1:
+                if n1 and d != rad:
+                    raise ParseError(f"mixed radicands in {_echo(text)}")
+                n1, d1, rad = n1 * q + p * d1, d1 * q, d
                 continue
-            if _RATIONAL_TERM.fullmatch(term):
-                total = total + Surd(Fraction(term))
-                continue
-            raise ParseError(f"bad scalar term {_echo(term)} in {_echo(text)}")
-    except MixedRadicandError as exc:
-        raise ParseError(f"mixed radicands in {_echo(text)}") from exc
-    except ZeroDivisionError as exc:
-        raise ParseError(f"zero denominator in {_echo(text)}") from exc
+        n0, d0 = n0 * q + p * d0, d0 * q
     if pos != len(s):
         raise ParseError(f"bad scalar {_echo(text)}")
-    return total
+    return Surd._make(Fraction(n0, d0), Fraction(n1, d1), rad)
 
 
 def format_scalar(x: Scalar) -> str:

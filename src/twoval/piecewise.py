@@ -20,6 +20,7 @@ from operator import add, itemgetter, mul, sub, truediv
 from typing import Iterator, Sequence
 
 from .numerics import (
+    EXACT,
     Interval,
     MixedBackendError,
     MixedRadicandError,
@@ -56,8 +57,9 @@ class StepFunction:
         if len(bps) != len(vals) + 1 or not vals:
             raise ValueError("need N+1 breakpoints for N >= 1 values")
         scalars = backend_of(*bps, *vals)
-        bps = [scalars(x) for x in bps]
-        vals = [scalars(x) for x in vals]
+        kind = type(scalars.zero)  # entries already of it are on the backend
+        bps = [x if type(x) is kind else scalars(x) for x in bps]
+        vals = [x if type(x) is kind else scalars(x) for x in vals]
         if bps[0] != scalars.zero or bps[-1] != scalars.one:
             raise ValueError("breakpoints must run from 0 to 1")
         for lo, hi in zip(bps, bps[1:]):
@@ -402,7 +404,7 @@ def step_from_json_dict(d: dict) -> StepFunction:
                 raise ParseError(f"float backend requires finite entries, got {x!r}")
             return v
         if isinstance(x, int):
-            return Surd(x)
+            return EXACT(x)
         if isinstance(x, str):
             v = parse_scalar(x)
             if isinstance(v, float):

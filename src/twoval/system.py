@@ -40,7 +40,16 @@ _MAX_N = 10**4
 
 
 def derive_n(a) -> int:
-    """The integer n >= 2 with 1/(n+1) < a <= 1/n, by doubling then bisection."""
+    """The integer n >= 2 with 1/(n+1) < a <= 1/n: a float guess confirmed exactly, else bisection."""
+    try:  # n is k or k - 1 for k nearest 1/a, unless a is tiny or out of range
+        k = round(1 / x) if 2**-40 < (x := float(a)) <= 0.5 else 0
+    except OverflowError:  # |a| past the doubles
+        k = 0
+    if k and a <= Fraction(1, k):
+        if a > Fraction(1, k + 1):
+            return k
+    elif k > 2 and a <= Fraction(1, k - 1):
+        return k - 1
     if not 0 < a or Fraction(1, 2) < a:
         raise ValueError(f"parameter must lie in (0, 1/2], got {format_scalar(a)}")
     lo, hi = 2, 3  # a <= 1/lo throughout, and 1/hi < a once the doubling stops
@@ -82,7 +91,7 @@ class EquippedSystem:
         n = derive_n(a)  # raises unless 0 < a <= 1/2
         if not density.is_nonnegative():
             raise ValueError("density must be nonnegative")
-        if alpha1.min_value < 0 or alpha1.max_value > 1:
+        if alpha1.min_value < density.scalars.zero or alpha1.max_value > density.scalars.one:
             raise ValueError("alpha1 must map into [0,1]")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "density", density)

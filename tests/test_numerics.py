@@ -2,13 +2,16 @@
 
 import math
 import random
+import re
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoval import numerics
 from twoval.numerics import (
     Interval,
     MixedBackendError,
@@ -16,9 +19,12 @@ from twoval.numerics import (
     ParseError,
     EXACT,
     Surd,
+    _digit_limit,
+    _echo,
     format_scalar,
     parse_scalar,
 )
+from twoval.piecewise import step_from_json_dict
 
 GOLDEN_A = Surd(Fraction(3, 2), Fraction(-1, 2), 5)  # (3 - sqrt(5))/2
 
@@ -294,6 +300,9 @@ class TestFamilyRoots:
         assert Fraction(1, n + 1) < a <= Fraction(1, n)
 
 
+REJECTS = ["", "abc", "1//2", "sqrt(2)+sqrt(3)", "1/0", "sqrt(-1)", "2..5", "inf", "nan", "3/-4", "1_000", "2/"]
+
+
 class TestParsing:
     @pytest.mark.parametrize(
         "text,value",
@@ -321,9 +330,7 @@ class TestParsing:
         got = parse_scalar(text)
         assert isinstance(got, float) and got == value
 
-    @pytest.mark.parametrize(
-        "text", ["", "abc", "1//2", "sqrt(2)+sqrt(3)", "1/0", "sqrt(-1)", "2..5", "inf", "nan", "3/-4", "1_000", "2/"]
-    )
+    @pytest.mark.parametrize("text", REJECTS)
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_scalar(text)
@@ -344,6 +351,191 @@ class TestParsing:
     def test_round_trip_property(self, q0, q1, d):
         x = Surd(q0, q1, d)
         assert parse_scalar(format_scalar(x)) == x
+
+
+_TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
+_SURD_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)")
+_RATIONAL_TERM = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def parse_by_surd_sums(text: str):
+    """The parser that summed one Surd per term, kept as the reference for
+    parse_scalar's values, types and error texts."""
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ParseError("empty scalar")
+    limit = sys.get_int_max_str_digits()
+    if (not limit or len(s) <= limit) and _RATIONAL_TERM.fullmatch(s):
+        p, _, q = s.partition("/")
+        try:
+            return Surd(Fraction(int(p), int(q or 1)))
+        except ZeroDivisionError as exc:
+            raise ParseError(f"zero denominator in {_echo(text)}") from exc
+    if "sqrt" not in s and re.search("[.eE]", s):
+        try:
+            v = float(s)
+        except ValueError as exc:
+            raise ParseError(f"bad scalar {_echo(text)}") from exc
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite scalar {_echo(text)}")
+        return v
+    if limit and len(s) > limit and any(len(run) > limit for run in re.findall(r"\d+", s)):
+        raise ParseError(_digit_limit())
+    total = EXACT.zero
+    pos = 0
+    try:
+        for m in _TERM_SPLIT.finditer(s):
+            if m.start() != pos:
+                raise ParseError(f"bad scalar {_echo(text)}")
+            pos = m.end()
+            term = m.group(0)
+            sm = _SURD_TERM.fullmatch(term)
+            if sm:
+                sign, coeff, d = sm.groups()
+                q1 = Fraction(coeff) if coeff else Fraction(1)
+                if sign == "-":
+                    q1 = -q1
+                total = total + Surd(0, q1, int(d))
+                continue
+            if _RATIONAL_TERM.fullmatch(term):
+                total = total + Surd(Fraction(term))
+                continue
+            raise ParseError(f"bad scalar term {_echo(term)} in {_echo(text)}")
+    except MixedRadicandError as exc:
+        raise ParseError(f"mixed radicands in {_echo(text)}") from exc
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in {_echo(text)}") from exc
+    if pos != len(s):
+        raise ParseError(f"bad scalar {_echo(text)}")
+    return total
+
+
+def assert_parses_as_reference(text: str):
+    """parse_scalar gives the reference's value and type, or raises its error
+    with the same type and text."""
+    try:
+        want = parse_by_surd_sums(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_scalar(text)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc), text
+        return None
+    got = parse_scalar(text)
+    assert type(got) is type(want) and got == want, text
+    if isinstance(got, Surd):
+        assert (got.q0, got.q1, got.d) == (want.q0, want.q1, want.d), text
+    return got
+
+
+_DIGIT_SETS = ("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def scalar_sums(draw) -> str:
+    """Sums of p/q, p/q*sqrt(d) and sqrt(d) terms, with signs, spaces, perfect
+    squares, zero radicands, zero denominators, mixed radicands, Arabic-Indic
+    digits and now and then a bad term."""
+    digits = draw(st.sampled_from(_DIGIT_SETS))
+
+    def number(top: int) -> str:
+        return "".join(digits[int(c)] for c in str(draw(st.integers(0, top))))
+
+    radicands = draw(st.lists(st.sampled_from([0, 1, 2, 4, 5, 8, 12, 18, 20, 45]), min_size=1, max_size=2))
+    text = draw(st.sampled_from(["", "+", "-", " -"]))
+    for i in range(draw(st.integers(1, 5))):
+        if i:
+            text += draw(st.sampled_from(["+", "-", " + ", " - "]))
+        coeff = number(10**6) + (f"/{number(50)}" if draw(st.booleans()) else "")
+        kind = draw(st.sampled_from(["rational", "surd", "root", "bad"]))
+        if kind == "bad":
+            text += draw(st.sampled_from(["abc", "sqrt(-1)", "1//2", "2*", "sqrt(2", "*sqrt(2)", "1.5"]))
+            continue
+        root = f"sqrt({draw(st.sampled_from(radicands))})"
+        text += {"rational": coeff, "surd": f"{coeff}*{root}", "root": root}[kind]
+    return text + draw(st.sampled_from(["", " ", "+"]))
+
+
+class TestParserOracle:
+    """parse_scalar against the per-term Surd sum it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(scalar_sums())
+    def test_sums_match_reference(self, text):
+        assert_parses_as_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1/3 + 2 - sqrt(8) + 1/2*sqrt(2)",
+            "sqrt(0)",
+            "3*sqrt(0) - 1/2",
+            "sqrt(4)",
+            "-1/3*sqrt(4) + 2*sqrt(5)",
+            "-0",
+            "- 0 * sqrt(3)",
+            "0*sqrt(10000000000000)",
+            "sqrt(2) - sqrt(2) + sqrt(3)",
+            "sqrt(2) + sqrt(3) - sqrt(3)",
+            " + 4 / 6 - 2/3 ",
+            "١/٢ + ٣*sqrt(٥)",
+            "1 + -2",
+            "1 +",
+            "+",
+            "1/0*sqrt(2)",
+            "0/0*sqrt(2)",
+            "sqrt(2) + sqrt(3) + 1/0",
+            "1/0 + sqrt(2) + sqrt(3)",
+            "abc + 1/0",
+            "1/2 - sqrt(12) + sqrt(75) - sqrt(7)",
+            "sqrt(10000000000000)",
+            "1e400",
+            "1.5 + sqrt(2)",
+            "1 + " + "7" * 5000 + "*sqrt(2)",
+            *REJECTS,
+        ],
+    )
+    def test_edge_cases_match_reference(self, text):
+        assert_parses_as_reference(text)
+
+    def test_bad_term_text(self):
+        with pytest.raises(ParseError, match=r"^bad scalar term '\+abc' in '1/2 \+ abc'$"):
+            parse_scalar("1/2 + abc")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(-(10**1000), 10**1000),
+        st.integers(1, 10**1000),
+        st.integers(-(10**1000), 10**1000),
+        st.integers(1, 10**1000),
+        st.sampled_from([1, 2, 3, 5, 65, 999999999989]),
+    )
+    def test_format_output_agrees_with_sympy(self, n0, den0, n1, den1, d):
+        """Coefficients of up to 10^3 digits: the parse is the surd written, by
+        the reference and by sympy's reading of the same text."""
+        sympy = pytest.importorskip("sympy")
+        x = Surd(Fraction(n0, den0), Fraction(n1, den1), d)
+        text = format_scalar(x)
+        got = assert_parses_as_reference(text)
+        assert type(got) is Surd and (got.q0, got.q1, got.d) == (x.q0, x.q1, x.d)
+        value = sympy.Rational(x.q0.numerator, x.q0.denominator)
+        value += sympy.Rational(x.q1.numerator, x.q1.denominator) * sympy.sqrt(x.d)
+        assert sympy.expand(sympy.sympify(text) - value) == 0
+
+
+class TestRadicandSplits:
+    def test_each_radicand_is_split_once(self):
+        """200 entries over sqrt(999999999989), whose split trial-divides to
+        10^6, make one split."""
+        numerics._square_free_split.cache_clear()
+        f = step_from_json_dict(
+            {
+                "breakpoints": ["0", *(f"{k}/200" for k in range(1, 200)), "1"],
+                "values": [f"{k} + 1/2*sqrt(999999999989)" for k in range(200)],
+                "backend": "exact-999999999989",
+            }
+        )
+        assert f.radicand == 999999999989 and len(f.values) == 200
+        assert numerics._square_free_split.cache_info().misses == 1
 
 
 class TestInterval:

@@ -1,6 +1,7 @@
 """Two-branch transformations: branch maps, equipped systems, pushforward."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -19,8 +20,9 @@ from conftest import (
     make_float_system,
     make_fraction_grid,
 )
-from twoval import cli
-from twoval.numerics import Interval, MixedBackendError, MixedRadicandError, ParseError, Surd
+from twoval import cli, numerics
+from twoval.families import _family_parameter, nonconstant_family
+from twoval.numerics import EXACT, Interval, MixedBackendError, MixedRadicandError, ParseError, Surd
 from twoval.piecewise import StepFunction, combine, step_to_json_dict
 from twoval.simulate import _advance
 from twoval.system import (
@@ -74,6 +76,99 @@ class TestDeriveN:
     def test_out_of_range(self, a):
         with pytest.raises(ValueError):
             derive_n(a)
+
+
+def derive_n_by_bisection(a) -> int:
+    """derive_n as doubling then bisection alone, kept as its reference."""
+    if not 0 < a or Fraction(1, 2) < a:
+        raise ValueError(f"parameter must lie in (0, 1/2], got {a}")
+    lo, hi = 2, 3
+    while not Fraction(1, hi) < a:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if Fraction(1, mid) < a else (mid, hi)
+    return lo
+
+
+def _reciprocals_and_neighbours(n: int) -> list:
+    """1/n exact, and 1/n's double with its two float neighbours."""
+    x = 1 / n
+    return [Fraction(1, n), x, math.nextafter(x, 0), math.nextafter(x, 1)]
+
+
+class TestDeriveNOracle:
+    """The float guess with its two exact comparisons against bisection."""
+
+    @staticmethod
+    def assert_agrees(a):
+        try:
+            want = derive_n_by_bisection(a)
+        except ValueError:
+            with pytest.raises(ValueError, match="parameter must lie in"):
+                derive_n(a)
+            return
+        assert derive_n(a) == want, a
+
+    def test_reciprocals_and_their_neighbours(self):
+        for n in [*range(2, 300), 1000, 4096, 9999, 10**4, 10**4 + 1, 2**40 - 1, 2**40, 10**15]:
+            for a in _reciprocals_and_neighbours(n):
+                self.assert_agrees(a)
+
+    def test_family_surds(self):
+        for n in range(2, 201):
+            a = _family_parameter(n)
+            self.assert_agrees(a)
+            for eps in (Fraction(1, 10**30), Fraction(-1, 10**30)):
+                self.assert_agrees(a + eps)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            Fraction(1, 10001),
+            Fraction(1, 10**400),  # 1/float(a) would divide by zero
+            Fraction(1, 10**400) * Surd(0, 1, 2),
+            1e-320,
+            5e-324,
+            Fraction(1, 2) + Fraction(1, 10**30),
+            Surd(Fraction(1, 2), Fraction(1, 10**30), 2),
+            Surd(Fraction(1, 2), Fraction(-1, 10**30), 2),
+            0.5,
+            math.nextafter(0.5, 1),
+            Fraction(1, 3) + Fraction(1, 10**30),
+            0,
+            -0.25,
+            0.75,
+            1,
+            2,
+            Fraction(-1, 10**400),
+            Fraction(10**400),  # float(a) would overflow
+            -Fraction(10**400),
+            Surd(10**400, 1, 2),
+            math.inf,
+            math.nan,
+        ],
+    )
+    def test_edges(self, a):
+        self.assert_agrees(a)
+
+    def test_two_exact_comparisons_up_to_n_cap(self, monkeypatch):
+        """Exact parameters with n <= 10^4 take two Surd comparisons each."""
+        calls = []
+        cmp = Surd._cmp
+
+        def counted(self, o):
+            calls.append(1)
+            return cmp(self, o)
+
+        params = [EXACT(Fraction(1, n)) for n in range(2, 10**4 + 1)]
+        params += [EXACT(Fraction(x)) for n in range(3, 10**4 + 1, 7) for x in _reciprocals_and_neighbours(n)[1:]]
+        params += [_family_parameter(n) for n in range(2, 201)]
+        monkeypatch.setattr(Surd, "_cmp", counted)
+        for a in params:
+            calls.clear()
+            n = derive_n(a)
+            assert len(calls) <= 2 and n <= 10**4, (a, len(calls))
 
 
 def branch_step(a, first: bool, xs) -> np.ndarray:
@@ -307,6 +402,27 @@ class TestComparisonCounts:
         _, task = _ragged_file(tmp_path, 48, Fraction(5, 12))
         rc, calls = self.count(["solve-alpha", task, "-o", str(tmp_path / "solved.json")], monkeypatch, capsys)
         assert rc == 1 and calls <= 1000
+
+
+class TestReadCost:
+    def test_family_file_reads_without_surd_construction(self, monkeypatch):
+        """Reading nonconstant_family(8, 1, 1) from JSON builds every surd from
+        its canonical parts, and splits its one radicand once; the per-term
+        Surd sums made 36 constructor calls and 18 splits."""
+        family = nonconstant_family(8, 1, 1)
+        text = system_to_json(family)
+        calls = []
+        init = Surd.__init__
+
+        def counted(self, *args):
+            calls.append(1)
+            init(self, *args)
+
+        numerics._square_free_split.cache_clear()
+        monkeypatch.setattr(Surd, "__init__", counted)
+        system = system_from_json(text)
+        assert len(calls) == 0 and system == family
+        assert numerics._square_free_split.cache_info().misses == 1
 
 
 class TestPushforwardMeasure:
