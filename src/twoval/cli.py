@@ -62,15 +62,13 @@ def _scalar_option(flag: str, text, is_float: bool):
 
 
 def cmd_family(args) -> int:
+    if args.kind != "renyi" and args.n is None:
+        raise ValueError(f"family {args.kind} needs --n")
     if args.kind == "renyi":
         system = renyi_system()
     elif args.kind == "lebesgue":
-        if args.n is None:
-            raise ValueError("family lebesgue needs --n")
         system = lebesgue_family(args.n, fill=_scalar_option("--fill", args.fill, False))
     else:
-        if args.n is None:
-            raise ValueError("family nonconstant needs --n")
         system = nonconstant_family(
             args.n,
             _scalar_option("--beta", args.beta, False),

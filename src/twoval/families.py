@@ -5,9 +5,11 @@ with exact zero deviation:
 
 * :func:`lebesgue_family`: a = 1/n with the uniform density.  alpha1 is a
   staircase dropping by 1/(n-1) per step of width 1/n across [a, 1-a).
-* :func:`nonconstant_family`: for each n >= 2 a quadratic-irrational
-  parameter and a three-level density with outer levels beta and gamma.
-  alpha1 is assembled from two interleaved strip patterns on [a, 1-a).
+* :func:`nonconstant_family`: for each n >= 2 the root a in
+  (1/(n+1), 1/n) of m*a^2 - (n+1)*a + 1 = 0, m = ceil(n/2), and a
+  three-level density with outer levels beta and gamma.  [a, 1-a) splits
+  into 2n-3 strips; alpha1 takes the beta formula below strip n-2, the
+  ratio gamma/(beta+gamma) on it and the gamma formula above it.
 
 Both leave alpha1 free outside [a, 1-a) (the ``fill`` argument), and
 wherever the density level is zero the weight identity holds for any
@@ -37,12 +39,10 @@ def _check_n(n: int) -> None:
 
 
 def _family_parameter(n: int) -> Surd:
-    """The quadratic root in (1/(n+1), 1/n) used by the nonconstant family."""
-    if n % 2 == 0:
-        # m*a/(1-a) = 1 - m*a with m = n/2
-        return Surd(Fraction(n + 1, n), Fraction(-1, n), n * n + 1)
-    # (m-1)*a/(1-a) = 1 - m*a with m = (n+1)/2
-    return Surd(1, Fraction(-1, n + 1), n * n - 1)
+    """The root in (1/(n+1), 1/n) of m*a^2 - (n+1)*a + 1, m = ceil(n/2): that
+    of floor(n/2)*a/(1-a) = 1 - m*a, the family's middle level from either end."""
+    m = (n + 1) // 2
+    return Surd(Fraction(n + 1, 2 * m), Fraction(-1, 2 * m), (n + 1) ** 2 - 4 * m)
 
 
 def _check_weights(beta, gamma) -> tuple:
@@ -71,66 +71,33 @@ def lebesgue_family(n: int, *, fill=0) -> EquippedSystem:
 def nonconstant_family(n: int, beta, gamma, *, fill=0) -> EquippedSystem:
     """The quadratic-parameter system with a three-level invariant density.
 
-    The density is beta, (beta+gamma)(1-m*a), gamma across three regions
-    (m = ceil(n/2)); [a, 1-a) splits into strips I0+sa and I1+sa on which
-    alpha1 follows one formula over the beta region, one over the gamma
-    region, and the ratio gamma/(beta+gamma) on the middle strip.
+    a is :func:`_family_parameter`, the root in (1/(n+1), 1/n) of
+    m*a^2 - (n+1)*a + 1 = 0 with m = ceil(n/2).  The density is beta,
+    (beta+gamma)(1-m*a), gamma, split at m*a and 1-m*a in increasing order.
+    [a, 1-a) splits into the strips I0, I1, I0+a, I1+a, ...: strip
+    i = 2s + second ends at 1-(n-1-s)*a, or at (s+2)*a when second.
+    Below i = n-2 alpha1 is s+2 - (s+1)/(1-a), at i = n-2 it is
+    gamma/(beta+gamma), and above it a*(n-s-1-second)/(1-a); a strip in a
+    region of zero density level takes ``fill``.
     """
     _check_n(n)
     beta, gamma = _check_weights(beta, gamma)
     fill = check_fill(fill, EXACT)
-    even = n % 2 == 0
-    m = n // 2 if even else (n + 1) // 2
+    m = (n + 1) // 2
     a = _family_parameter(n)
     w = 1 - a
-    mid_level = (beta + gamma) * (1 - m * a)
-    if even:
-        density = StepFunction([0, m * a, 1 - m * a, 1], [beta, mid_level, gamma])
-    else:
-        density = StepFunction([0, 1 - m * a, m * a, 1], [beta, mid_level, gamma])
-
-    def low_strip(s):  # strip inside the beta region
-        return fill if beta == 0 else s + 2 - (s + 1) / w
-
-    def high_strip(s, shift):  # strip inside the gamma region
-        return fill if gamma == 0 else a * (n - s - shift) / w
-
-    middle = gamma / (beta + gamma)
-
-    def strip_value(s, second: bool):
-        if even:
-            if not second:
-                if s <= m - 2:
-                    return low_strip(s)
-                if s == m - 1:
-                    return middle
-                return high_strip(s, 1)
-            if s <= m - 2:
-                return low_strip(s)
-            return high_strip(s, 2)
-        if not second:
-            if s <= m - 2:
-                return low_strip(s)
-            return high_strip(s, 1)
-        if s <= m - 3:
-            return low_strip(s)
-        if s == m - 2:
-            return middle
-        return high_strip(s, 2)
-
-    tilde = 1 - (n - 1) * a  # right end of the first strip
-    bps = [EXACT.zero, a]
-    values = [fill]
-    for s in range(n - 1):
-        values.append(strip_value(s, second=False))
-        bps.append(tilde + s * a)
-        if s <= n - 3:
-            values.append(strip_value(s, second=True))
-            bps.append((s + 2) * a)
-    values.append(fill)
-    bps.append(EXACT.one)
-    alpha1 = StepFunction(bps, values)
-    return EquippedSystem(a, density, alpha1)
+    density = StepFunction([0, *sorted((m * a, 1 - m * a)), 1], [beta, (beta + gamma) * (1 - m * a), gamma])
+    bps, values = [EXACT.zero, a], [fill]
+    for i in range(2 * n - 3):
+        s, second = divmod(i, 2)
+        bps.append((s + 2) * a if second else 1 - (n - 1 - s) * a)
+        if i < n - 2:
+            values.append(fill if beta == 0 else s + 2 - (s + 1) / w)
+        elif i == n - 2:
+            values.append(gamma / (beta + gamma))
+        else:
+            values.append(fill if gamma == 0 else a * (n - s - 1 - second) / w)
+    return EquippedSystem(a, density, StepFunction([*bps, EXACT.one], [*values, fill]))
 
 
 def total_mass(n: int, beta, gamma) -> Scalar:

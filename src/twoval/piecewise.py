@@ -365,15 +365,10 @@ def _nearest_double(q) -> float:
 
 
 def step_to_json_dict(f: StepFunction) -> dict:
-    if f.is_float:
-        return {
-            "breakpoints": [float(t) for t in f.breakpoints],
-            "values": [float(v) for v in f.values],
-            "backend": "float",
-        }
+    fmt = float if f.is_float else format_scalar
     return {
-        "breakpoints": [format_scalar(t) for t in f.breakpoints],
-        "values": [format_scalar(v) for v in f.values],
+        "breakpoints": [fmt(t) for t in f.breakpoints],
+        "values": [fmt(v) for v in f.values],
         "backend": f.backend,
     }
 

@@ -19,6 +19,7 @@ directly, so the two agree only if both are right.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .numerics import (
@@ -28,6 +29,7 @@ from .numerics import (
     MixedRadicandError,
     ParseError,
     Scalar,
+    Surd,
     format_scalar,
     parse_scalar,
     read_json,
@@ -40,25 +42,22 @@ _MAX_N = 10**4
 
 
 def derive_n(a) -> int:
-    """The integer n >= 2 with 1/(n+1) < a <= 1/n: a float guess confirmed exactly, else bisection."""
-    try:  # n is k or k - 1 for k nearest 1/a, unless a is tiny or out of range
-        k = round(1 / x) if 2**-40 < (x := float(a)) <= 0.5 else 0
-    except OverflowError:  # |a| past the doubles
-        k = 0
-    if k and a <= Fraction(1, k):
-        if a > Fraction(1, k + 1):
-            return k
-    elif k > 2 and a <= Fraction(1, k - 1):
-        return k - 1
+    """The integer n >= 2 with 1/(n+1) < a <= 1/n, which is floor(1/a)."""
     if not 0 < a or Fraction(1, 2) < a:
         raise ValueError(f"parameter must lie in (0, 1/2], got {format_scalar(a)}")
-    lo, hi = 2, 3  # a <= 1/lo throughout, and 1/hi < a once the doubling stops
-    while not Fraction(1, hi) < a:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if Fraction(1, mid) < a else (mid, hi)
-    return lo
+    if isinstance(a, Surd) and a.q1:
+        # a = (u + c*sqrt(d))/den in integers, so 1/a = sg*den*(u - c*sqrt(d))/|N|, N = u*u - c*c*d, sg = sign(N).
+        # -sg*den*c*sqrt(d) is irrational: its floor is r = isqrt(its square) if positive, else -r - 1.
+        q0, q1, d = a.q0, a.q1, a.d
+        u = q0.numerator * q1.denominator
+        c = q1.numerator * q0.denominator
+        den = q0.denominator * q1.denominator
+        norm = u * u - c * c * d
+        sg = 1 if norm > 0 else -1
+        r = math.isqrt(den * den * c * c * d)
+        return (sg * den * u + (-r - 1 if sg * c > 0 else r)) // abs(norm)
+    a = Fraction(a.q0 if isinstance(a, Surd) else a)  # a float is read exactly
+    return a.denominator // a.numerator
 
 
 def check_fill(fill, scalars: Backend) -> Scalar:

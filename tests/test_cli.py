@@ -110,6 +110,13 @@ class TestFamily:
         assert main(["family", "lebesgue"]) == 2
         assert main(["family", "nonconstant"]) == 2
 
+    @pytest.mark.parametrize("kind", ["lebesgue", "nonconstant"])
+    def test_missing_n_message(self, kind, capsys):
+        assert main(["family", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: family {kind} needs --n\n"
+
     def test_unknown_kind_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["family", "cantor"])

@@ -9,6 +9,7 @@ from conftest import assert_close_on_cells, compose_by_preimages, make_exact_ste
 from twoval.criterion import check_invariance_conditions, invariance_defect, solve_alpha1
 from twoval.families import (
     _GOLDEN_INV,
+    _family_parameter,
     lebesgue_family,
     nonconstant_family,
     renyi_density,
@@ -16,9 +17,9 @@ from twoval.families import (
     renyi_transfer,
     total_mass,
 )
-from twoval.numerics import Surd
+from twoval.numerics import EXACT, Surd
 from twoval.piecewise import StepFunction, from_jumps
-from twoval.system import EquippedSystem, as_float_system
+from twoval.system import EquippedSystem, as_float_system, check_fill, system_to_json
 
 WEIGHT_PAIRS = [(1, 0), (0, 1), (1, 2), (3, 5)]
 
@@ -110,6 +111,89 @@ class TestNonconstantFamily:
         report = check_invariance_conditions(s)
         assert report.passed
         assert invariance_defect(s).sup_norm() < 1e-12
+
+
+def family_parameter_by_parity(n: int) -> Surd:
+    """The family's parameter as one formula per parity of n, kept as its reference."""
+    if n % 2 == 0:  # m*a/(1-a) = 1 - m*a with m = n/2
+        return Surd(Fraction(n + 1, n), Fraction(-1, n), n * n + 1)
+    return Surd(1, Fraction(-1, n + 1), n * n - 1)  # (m-1)*a/(1-a) = 1 - m*a with m = (n+1)/2
+
+
+def nonconstant_family_by_cases(n: int, beta, gamma, *, fill=0) -> EquippedSystem:
+    """The nonconstant family spelled out as even/odd case tables, kept as its reference."""
+    beta, gamma, fill = EXACT(beta), EXACT(gamma), check_fill(fill, EXACT)
+    even = n % 2 == 0
+    m = n // 2 if even else (n + 1) // 2
+    a = family_parameter_by_parity(n)
+    w = 1 - a
+    mid_level = (beta + gamma) * (1 - m * a)
+    if even:
+        density = StepFunction([0, m * a, 1 - m * a, 1], [beta, mid_level, gamma])
+    else:
+        density = StepFunction([0, 1 - m * a, m * a, 1], [beta, mid_level, gamma])
+
+    def low_strip(s):  # strip inside the beta region
+        return fill if beta == 0 else s + 2 - (s + 1) / w
+
+    def high_strip(s, shift):  # strip inside the gamma region
+        return fill if gamma == 0 else a * (n - s - shift) / w
+
+    middle = gamma / (beta + gamma)
+
+    def strip_value(s, second: bool):
+        if even:
+            if not second:
+                if s <= m - 2:
+                    return low_strip(s)
+                if s == m - 1:
+                    return middle
+                return high_strip(s, 1)
+            if s <= m - 2:
+                return low_strip(s)
+            return high_strip(s, 2)
+        if not second:
+            if s <= m - 2:
+                return low_strip(s)
+            return high_strip(s, 1)
+        if s <= m - 3:
+            return low_strip(s)
+        if s == m - 2:
+            return middle
+        return high_strip(s, 2)
+
+    tilde = 1 - (n - 1) * a  # right end of the first strip
+    bps = [EXACT.zero, a]
+    values = [fill]
+    for s in range(n - 1):
+        values.append(strip_value(s, second=False))
+        bps.append(tilde + s * a)
+        if s <= n - 3:
+            values.append(strip_value(s, second=True))
+            bps.append((s + 2) * a)
+    values.append(fill)
+    bps.append(EXACT.one)
+    return EquippedSystem(a, density, StepFunction(bps, values))
+
+
+class TestFamilyOracles:
+    """The family's strip rule and quadratic against the case tables they replace."""
+
+    @pytest.mark.parametrize(
+        "beta,gamma,fill",
+        [(1, 1, 0), (1, 0, 0), (0, 1, Fraction(1, 2)), (Fraction(2, 3), Fraction(5, 7), 1), (3, 1, Fraction(1, 3))],
+    )
+    def test_json_matches_case_tables(self, beta, gamma, fill):
+        for n in [*range(2, 65), 101, 200]:
+            got = system_to_json(nonconstant_family(n, beta, gamma, fill=fill))
+            assert got == system_to_json(nonconstant_family_by_cases(n, beta, gamma, fill=fill)), n
+
+    def test_parameter_is_the_quadratic_root(self):
+        for n in range(2, 10**4 + 1):
+            a, m = _family_parameter(n), (n + 1) // 2
+            assert a == family_parameter_by_parity(n), n
+            assert m * a * a - (n + 1) * a + 1 == 0, n
+            assert Fraction(1, n + 1) < a < Fraction(1, n), n
 
 
 class TestTotalMass:

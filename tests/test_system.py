@@ -97,8 +97,25 @@ def _reciprocals_and_neighbours(n: int) -> list:
     return [Fraction(1, n), x, math.nextafter(x, 0), math.nextafter(x, 1)]
 
 
+#: n up to 200, then sampled up to the cap
+FAMILY_NS = [*range(2, 201), *range(211, 10**4, 397), 10**4]
+
+
+def _count_cmp(monkeypatch) -> list:
+    """Patch Surd._cmp to append to the returned list on each call."""
+    calls = []
+    cmp = Surd._cmp
+
+    def counted(self, o):
+        calls.append(1)
+        return cmp(self, o)
+
+    monkeypatch.setattr(Surd, "_cmp", counted)
+    return calls
+
+
 class TestDeriveNOracle:
-    """The float guess with its two exact comparisons against bisection."""
+    """floor(1/a), from q // p or an integer square root, against bisection."""
 
     @staticmethod
     def assert_agrees(a):
@@ -116,7 +133,7 @@ class TestDeriveNOracle:
                 self.assert_agrees(a)
 
     def test_family_surds(self):
-        for n in range(2, 201):
+        for n in FAMILY_NS:
             a = _family_parameter(n)
             self.assert_agrees(a)
             for eps in (Fraction(1, 10**30), Fraction(-1, 10**30)):
@@ -147,24 +164,26 @@ class TestDeriveNOracle:
             Surd(10**400, 1, 2),
             math.inf,
             math.nan,
+            # a = (u + c*sqrt(d))/den with u*u - c*c*d in {1, 2}: 1/a's sqrt(d) term is negative
+            Surd(Fraction(1, 4), Fraction(1, 7), 3),
+            Surd(Fraction(1, 4), Fraction(1, 9), 5),
+            Surd(Fraction(1, 7), Fraction(1, 10), 2),
         ],
     )
-    def test_edges(self, a):
+    def test_edges(self, a, monkeypatch):
         self.assert_agrees(a)
+        if isinstance(a, float) or not 0 < a <= Fraction(1, 2):
+            return
+        calls = _count_cmp(monkeypatch)
+        derive_n(EXACT(a))
+        assert len(calls) <= 2, len(calls)  # the range check alone
 
     def test_two_exact_comparisons_up_to_n_cap(self, monkeypatch):
         """Exact parameters with n <= 10^4 take two Surd comparisons each."""
-        calls = []
-        cmp = Surd._cmp
-
-        def counted(self, o):
-            calls.append(1)
-            return cmp(self, o)
-
         params = [EXACT(Fraction(1, n)) for n in range(2, 10**4 + 1)]
         params += [EXACT(Fraction(x)) for n in range(3, 10**4 + 1, 7) for x in _reciprocals_and_neighbours(n)[1:]]
-        params += [_family_parameter(n) for n in range(2, 201)]
-        monkeypatch.setattr(Surd, "_cmp", counted)
+        params += [_family_parameter(n) + eps for n in FAMILY_NS for eps in (0, Fraction(1, 10**30), Fraction(-1, 10**30))]
+        calls = _count_cmp(monkeypatch)
         for a in params:
             calls.clear()
             n = derive_n(a)
