@@ -27,13 +27,7 @@ from .expansion import BudgetExceededError, enumerate_walk, orbit_walk, value_fr
 from .families import lebesgue_family, nonconstant_family, renyi_system
 from .numerics import MixedRadicandError, ParseError, _echo, format_scalar, parse_scalar, read_json
 from .piecewise import step_from_json_dict, step_to_csv, step_to_json
-from .system import (
-    as_float_system,
-    parameter_from_json,
-    pushforward_density,
-    system_from_json,
-    system_to_json,
-)
+from .system import parameter_from_json, pushforward_density, system_from_json, system_to_json
 
 
 def _emit(text: str, dest: str) -> None:
@@ -121,7 +115,7 @@ def cmd_simulate(args) -> int:
 
     system = _load_system(args.system)
     chain = run_chain(
-        as_float_system(system),
+        system,
         args.samples,
         args.steps,
         args.seed,

@@ -15,8 +15,8 @@ exactly when three families of identities hold:
 
 Together the J_m tile [a, 1-a); alpha1 is unconstrained on [0,a) and
 [1-a, 1].  Windows can be empty (at a = 1/n the full window and the last
-J_m vanish); windows no wider than the backend's snap distance hold
-vacuously and are not read.
+J_m vanish); windows no wider than the backend's snap distance are read
+like the others but hold vacuously, at deviation zero.
 
 Translates vanish where their argument leaves [0,1], so one function
 decides all three families.  With w = 1-a, let
@@ -38,11 +38,9 @@ Infeasibility is reported with the violated identity and its deviation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
 
-from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar
+from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar, max_or_nan
 from .piecewise import StepFunction, cells, from_jumps
 from .system import _MAX_N, EquippedSystem, check_fill, derive_n, pushforward_density
 
@@ -116,20 +114,18 @@ def _tolerance(scalars: Backend, tol) -> Scalar:
     return tol
 
 
-def _window_check(name: str, lo, hi, sup, tol, scalars: Backend) -> ConditionCheck:
-    """The identity on [lo, hi) with deviation ``sup()``; vacuous, at zero
-    and unread, if no wider than the snap distance."""
+def _window_check(name: str, lo, hi, dev, tol, scalars: Backend) -> ConditionCheck:
+    """The identity on [lo, hi) with deviation ``dev``; vacuous, at zero, if
+    no wider than the snap distance."""
     if not hi - lo > scalars.snap:
         return ConditionCheck(name, Interval(min(lo, hi), min(lo, hi)), scalars.zero, True, True)
-    dev = sup()
     return ConditionCheck(name, Interval(lo, hi), dev, dev <= tol, False)
 
 
 def _sup(fs, lo, hi, read=lambda v: v) -> Scalar:
     """The sup of |read(*values)| over the cells of ``fs`` on [lo, hi): NaN
     if one is NaN, the backend's zero if there is no cell."""
-    devs = [abs(read(*vs)) for _, _, vs in cells(fs, lo, hi)]
-    return max(devs, default=fs[0].scalars.zero) if all(d == d for d in devs) else math.nan
+    return max_or_nan([abs(read(*vs)) for _, _, vs in cells(fs, lo, hi)], fs[0].scalars.zero)
 
 
 def _checks(a, n: int, s: StepFunction, tol, system: EquippedSystem | None = None) -> list:
@@ -137,17 +133,17 @@ def _checks(a, n: int, s: StepFunction, tol, system: EquippedSystem | None = Non
     then given the system the weight checks, alpha1*p - S read on each J_m."""
     split = 1 - (n - 1) * a  # the two density windows meet here
     windows = [
-        (FULL_WINDOW, a, split, partial(_sup, (s,), n * a, 1)),
-        (SHORT_WINDOW, split, 2 * a, partial(_sup, (s,), 1 - a, n * a)),
+        (FULL_WINDOW, a, split, _sup((s,), n * a, 1)),
+        (SHORT_WINDOW, split, 2 * a, _sup((s,), 1 - a, n * a)),
     ]
     if system is not None:
         cuts = [k * a for k in range(1, n)] + [1 - a]
         fs = (system.alpha1, system.density, s)
         windows += [
-            (f"{WEIGHT_IDENTITY}[{m}]", lo, hi, partial(_sup, fs, lo, hi, lambda u, v, w: u * v - w))
+            (f"{WEIGHT_IDENTITY}[{m}]", lo, hi, _sup(fs, lo, hi, lambda u, v, w: u * v - w))
             for m, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
         ]
-    return [_window_check(name, lo, hi, sup, tol, s.scalars) for name, lo, hi, sup in windows]
+    return [_window_check(name, lo, hi, dev, tol, s.scalars) for name, lo, hi, dev in windows]
 
 
 def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionReport:
@@ -159,8 +155,7 @@ def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionRe
     a, n = system.a, system.n
     tol = _tolerance(system.density.scalars, tol)
     checks = _checks(a, n, _identity(a, n, system.density), tol, system)
-    devs = [c.deviation for c in checks]
-    max_deviation = max(devs) if all(d == d for d in devs) else math.nan  # max() can skip a NaN
+    max_deviation = max_or_nan([c.deviation for c in checks])
     return ConditionReport(n, all(c.passed for c in checks), max_deviation, *checks[:2], tuple(checks[2:]))
 
 

@@ -50,7 +50,7 @@ def _square_free_split(v: int) -> tuple[int, int]:
     if v < 0:
         raise ValueError("radicand must be nonnegative")
     if v > 10**12:  # trial division below costs about 0.2 s at this cap
-        raise ValueError(f"radicand {v} exceeds 10^12")
+        raise ValueError(f"radicand {_echo(v)} exceeds 10^12")
     if v == 0:
         return 0, 1
     s, d, rem = 1, 1, v
@@ -379,6 +379,15 @@ def backend_of(*xs) -> Backend:
     return FLOAT if has_float else EXACT
 
 
+def max_or_nan(values: list, default=None) -> Scalar:
+    """The largest of ``values``, ``default`` if there is none, and NaN if a
+    float among them is NaN: ``max`` alone can skip one, as every comparison
+    with NaN is false.  Exact values are never NaN and are not tested."""
+    if any(isinstance(v, float) and math.isnan(v) for v in values):
+        return math.nan
+    return max(values) if values else default
+
+
 _FLOAT_MARK = re.compile(r"[.eE]")
 #: a term: sign, then p/q*sqrt(d) (groups 2-4) or p/q (5-6); else a bad term up to the next sign
 _TERM = re.compile(r"([+-]?)(?:(?:(\d+)(?:/(\d+))?\*)?sqrt\((\d+)\)|(\d+)(?:/(\d+))?)(?=[+-]|\Z)|[+-]?[^+-]+")
@@ -402,9 +411,13 @@ def read_json(text: str):
         raise ParseError(_digit_limit()) from None
 
 
-def _echo(text: str) -> str:
-    """``text`` quoted for an error message, cut after 40 characters."""
-    return repr(text if len(text) <= 40 else text[:40] + "…")
+def _echo(value) -> str:
+    """``value`` for an error message, cut after 40 characters: text quoted,
+    anything else as its repr."""
+    if isinstance(value, str):
+        return repr(value if len(value) <= 40 else value[:40] + "…")
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "…"
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -27,8 +27,10 @@ from .numerics import (
     ParseError,
     Scalar,
     Surd,
+    _echo,
     backend_of,
     format_scalar,
+    max_or_nan,
     parse_scalar,
     read_json,
 )
@@ -238,9 +240,7 @@ class StepFunction:
 
     def sup_norm(self) -> Scalar:
         """Essential sup of |f|: the largest |value| over the pieces, NaN if one is NaN."""
-        if self.is_float and any(math.isnan(v) for v in self.values):
-            return math.nan
-        return max(abs(v) for v in self.values)
+        return max_or_nan([abs(v) for v in self.values])
 
 
 def combine(op, *fs: StepFunction) -> StepFunction:
@@ -260,27 +260,17 @@ def cells(fs, lo, hi) -> Iterator[tuple]:
     """(start, end, values) for each cell of the inputs' merged grid on
     [lo, hi) inside [0, 1], values holding each input's value there.
 
-    Exact inputs: one k-way walk.  Bisection finds each input's piece at lo
-    and its end (with no search where lo or hi ends its grid), each cell
-    ends at the least of the inputs' next breakpoints or at hi, and each
-    input whose next breakpoint that is moves on, so nothing is hashed or
-    sorted.  Float inputs: affine images of one exact point land on nearly
-    equal doubles, so breakpoints within the snap distance of the last kept
-    one (lo first) or of hi are fused onto it, and each input is read at
-    the midpoint of each fused cell.
+    One k-way walk on either backend.  Bisection finds each input's piece
+    at lo and its end (with no search where lo or hi ends its grid), each
+    cell ends at the least of the inputs' next breakpoints or at hi, and
+    each input whose next breakpoint that is moves on, so nothing is hashed
+    or sorted.  Float inputs follow :func:`from_jumps`' rule, since affine
+    images of one exact point land on nearly equal doubles: a breakpoint
+    within the snap distance of the cell's start (lo first) is passed
+    without opening a cell, so each input is read just after it, and
+    failing that one within the snap distance of hi ends the cell at hi.
     """
     if not lo < hi:
-        return
-    if fs[0].is_float:
-        snap, grid = fs[0].scalars.snap, [lo]
-        inside = (f.breakpoints[bisect_right(f.breakpoints, lo) : bisect_left(f.breakpoints, hi)] for f in fs)
-        for t in sorted(sum(inside, ())):
-            if t - grid[-1] > snap and hi - t > snap:
-                grid.append(t)
-        grid.append(hi)
-        for start, end in zip(grid, grid[1:]):
-            mid = (start + end) / 2
-            yield start, end, [f.values[min(bisect_right(f.breakpoints, mid), len(f.values)) - 1] for f in fs]
         return
     at = [0 if lo == f.breakpoints[0] else bisect_right(f.breakpoints, lo) - 1 for f in fs]
     stops = [len(f.values) if hi == f.breakpoints[-1] else bisect_left(f.breakpoints, hi, i) for f, i in zip(fs, at)]
@@ -289,16 +279,20 @@ def cells(fs, lo, hi) -> Iterator[tuple]:
         return fs[k].breakpoints[at[k] + 1] if at[k] + 1 < stops[k] else hi
 
     heads, start = [head(k) for k in range(len(fs))], lo
+    snap = fs[0].is_float and fs[0].scalars.snap  # False on exact inputs
     while True:
         end = min(heads)
-        yield start, end, [f.values[i] for f, i in zip(fs, at)]
-        if end == hi:
-            return
+        if not (snap and end < hi and end - start <= snap):  # else fused onto start
+            if snap and hi - end <= snap:
+                end = hi
+            yield start, end, [f.values[i] for f, i in zip(fs, at)]
+            if end == hi:
+                return
+            start = end
         for k, h in enumerate(heads):
             if h == end:
                 at[k] += 1
                 heads[k] = head(k)
-        start = end
 
 
 def from_jumps(jumps, scalars) -> StepFunction:
@@ -390,22 +384,22 @@ def step_from_json_dict(d: dict) -> StepFunction:
             raise ParseError("bool is not a scalar")
         if want_float:
             if not isinstance(x, (int, float)):
-                raise ParseError(f"float backend requires numeric entries, got {x!r}")
+                raise ParseError(f"float backend requires numeric entries, got {_echo(x)}")
             try:
                 v = float(x)
             except OverflowError:
                 v = math.inf
             if not math.isfinite(v):
-                raise ParseError(f"float backend requires finite entries, got {x!r}")
+                raise ParseError(f"float backend requires finite entries, got {_echo(x)}")
             return v
         if isinstance(x, int):
             return EXACT(x)
         if isinstance(x, str):
             v = parse_scalar(x)
             if isinstance(v, float):
-                raise ParseError(f"decimal {x!r} not allowed on the exact backend")
+                raise ParseError(f"decimal {_echo(x)} not allowed on the exact backend")
             return v
-        raise ParseError(f"exact backend requires string or integer entries, got {x!r}")
+        raise ParseError(f"exact backend requires string or integer entries, got {_echo(x)}")
 
     if backend == "float":
         want_float = True
@@ -414,9 +408,9 @@ def step_from_json_dict(d: dict) -> StepFunction:
         try:
             d_tag = int(backend[6:])
         except ValueError as exc:
-            raise ParseError(f"bad backend tag {backend!r}") from exc
+            raise ParseError(f"bad backend tag {_echo(backend)}") from exc
     else:
-        raise ParseError(f"bad backend tag {backend!r}")
+        raise ParseError(f"bad backend tag {_echo(backend)}")
     bps = [parse_entry(x, want_float) for x in raw_bps]
     vals = [parse_entry(x, want_float) for x in raw_vals]
     try:
@@ -424,7 +418,7 @@ def step_from_json_dict(d: dict) -> StepFunction:
     except (ValueError, MixedRadicandError) as exc:
         raise ParseError(f"invalid step function: {exc}") from exc
     if not want_float and f.radicand not in (1, d_tag):
-        raise ParseError(f"entries use sqrt({f.radicand}) but backend says {backend!r}")
+        raise ParseError(f"entries use sqrt({f.radicand}) but backend says {_echo(backend)}")
     return f
 
 

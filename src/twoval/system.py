@@ -30,6 +30,7 @@ from .numerics import (
     ParseError,
     Scalar,
     Surd,
+    _echo,
     format_scalar,
     parse_scalar,
     read_json,
@@ -211,7 +212,7 @@ def parameter_from_json(raw) -> Scalar:
             return float(raw)
         except OverflowError:
             pass
-    raise ParseError(f"bad parameter a: {raw!r}")
+    raise ParseError(f"bad parameter a: {_echo(raw)}")
 
 
 def system_from_json_dict(d: dict) -> EquippedSystem:

@@ -274,6 +274,47 @@ class TestInputGuards:
         assert err == f"parse error: exact backend requires string or integer entries, got {entry!r}\n"
 
 
+class TestLongValuesAreCut:
+    """A bad value of thousands of characters is echoed cut at 40, so the
+    message stays one short stderr line."""
+
+    @pytest.mark.parametrize(
+        "on_floats,edit,start",
+        [
+            (False, lambda d: d["p"].update(backend="exact-" + "x" * 3000), "parse error: bad backend tag 'exact-xxx"),
+            (True, lambda d: d["p"].update(values=["x" * 3000]), "parse error: float backend requires numeric entries, got 'xxx"),
+            (True, lambda d: d["p"].update(values=[int("9" * 3000)]), "parse error: float backend requires finite entries, got 999"),
+            (False, lambda d: d["p"].update(values=["0." + "1" * 3000]), "parse error: decimal '0.111"),
+            (False, lambda d: d["p"].update(values=[list(range(1000))]), "parse error: exact backend requires string or integer entries, got [0, 1,"),
+            (False, lambda d: d.update(a=list(range(1000))), "parse error: bad parameter a: [0, 1,"),
+            (False, lambda d: d.update(a="sqrt(" + "7" * 3000 + ")"), "error: radicand 777"),
+        ],
+        ids=["backend-tag", "float-numeric", "float-finite", "decimal", "exact-entry", "parameter", "radicand"],
+    )
+    def test_check(self, tmp_path, capsys, on_floats, edit, start):
+        system = lebesgue_family(3)
+        d = system_to_json_dict(as_float_system(system) if on_floats else system)
+        edit(d)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        self._one_short_line(capsys, start)
+
+    @pytest.mark.parametrize("flag", ["--x", "--beta"])
+    def test_expand_radicand(self, capsys, flag):
+        argv = {"--x": "1/2", "--beta": "2", flag: "sqrt(" + "7" * 3000 + ")"}
+        assert main(["expand", *(w for item in argv.items() for w in item)]) == 2
+        self._one_short_line(capsys, "error: radicand 777")
+
+    @staticmethod
+    def _one_short_line(capsys, start):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(start)
+        assert len(captured.err) < 120, captured.err[:200]
+
+
 class TestTolerance:
     """``--tol`` is read exactly, so it works on exact systems and rejects nan and inf."""
 

@@ -383,7 +383,7 @@ class TestFloatBackend:
     def test_reciprocal_parameter_statuses_match_exact(self, n):
         # windows that are empty at a = 1/n are slivers of an ulp or two in
         # floats; 49 is the least n with fl(1/n) * n < 1, where [na, 1) is
-        # one ulp wide and its midpoint rounds to 1
+        # one ulp wide
         def statuses(system):
             return [(c.name, c.vacuous, c.passed) for c in check_invariance_conditions(system).checks]
 

@@ -22,6 +22,7 @@ from twoval.numerics import (
     _digit_limit,
     _echo,
     format_scalar,
+    max_or_nan,
     parse_scalar,
 )
 from twoval.piecewise import step_from_json_dict
@@ -560,3 +561,25 @@ class TestInterval:
         iv = Interval(0, 0.75)
         assert (iv.lo, iv.hi) == (0.0, 0.75) and isinstance(iv.lo, float)
         assert repr(iv) == "[0.0, 0.75)"
+
+
+class TestMaxOrNan:
+    @pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]])
+    def test_a_nan_anywhere_wins(self, values):
+        assert math.isnan(max_or_nan(values))
+
+    def test_max_alone_skips_a_later_nan(self):
+        assert max([1.0, math.nan, 2.0]) == 2.0
+
+    def test_largest_or_default(self):
+        assert max_or_nan([1.0, math.inf, -2.0]) == math.inf
+        assert max_or_nan([], 0.0) == 0.0
+        assert max_or_nan([Surd(1), GOLDEN_A, Surd(Fraction(1, 2))]) == 1
+
+    def test_exact_values_are_not_tested_for_nan(self, monkeypatch):
+        calls = []
+        eq = Surd.__eq__
+        monkeypatch.setattr(Surd, "__eq__", lambda x, y: calls.append(1) or eq(x, y))
+        largest = max_or_nan([Surd(Fraction(1, 3)), GOLDEN_A])
+        monkeypatch.undo()
+        assert calls == [] and largest == GOLDEN_A

@@ -4,7 +4,7 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 import pytest
 from hypothesis import given
@@ -164,24 +164,47 @@ def _ragged_float(rng: random.Random, pieces: int, near=()) -> StepFunction:
 
 
 class TestResampleOracle:
-    """The one-pass resample against evaluating every merged cell at its midpoint."""
+    """The one-pass resample against reading every merged cell: exact cells
+    at their midpoints, float ones by :func:`from_jumps`' fuse rule."""
 
     @staticmethod
     def midpoint_rule(op, *fs):
-        """Every breakpoint in one set, sorted; float ones within the snap
-        distance of the last kept one fused onto it; each cell read at its midpoint."""
+        """Every breakpoint in one set, sorted; exact cells read at their
+        midpoints.  A float breakpoint within the snap distance of the cell's
+        start (0 first) is fused onto it, and each input is read at the last
+        one fused, the start if none; failing that, one within the snap
+        distance of 1 is dropped."""
         grid = sorted(set().union(*(f.breakpoints for f in fs)))
-        if fs[0].is_float:
-            snap = FLOAT.snap
-            kept = [0.0]
-            for t in grid[1:-1]:
-                if t - kept[-1] > snap:
-                    kept.append(t)
-            if 1.0 - kept[-1] <= snap:
-                kept.pop()
-            grid = kept + [1.0]
-        mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
-        return StepFunction(grid, [op(*(f(m) for f in fs)) for m in mids])
+        if not fs[0].is_float:
+            mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
+            return StepFunction(grid, [op(*(f(m) for f in fs)) for m in mids])
+        kept, reads = [0.0], [0.0]
+        for t in grid[1:-1]:
+            if t - kept[-1] <= FLOAT.snap:
+                reads[-1] = t
+            elif 1.0 - t > FLOAT.snap:
+                kept.append(t)
+                reads.append(t)
+        return StepFunction(kept + [1.0], [op(*(f(x) for f in fs)) for x in reads])
+
+    def test_cluster_is_read_after_its_last_fused_breakpoint(self):
+        # g's jump at 1/2 + 8e-13 fuses onto f's at 1/2; f's at 1/2 + 1.1e-12 does not
+        f = StepFunction([0.0, 0.5, 0.5 + 1.1e-12, 1.0], [0.0, 1.0, 2.0])
+        g = StepFunction([0.0, 0.5 + 8e-13, 1.0], [0.0, 10.0])
+        assert (f + g).values == (0.0, 11.0, 12.0)
+        assert f + g == self.midpoint_rule(add, f, g) == from_jumps(f.jumps() + g.jumps(), FLOAT)
+
+    @pytest.mark.parametrize("op", [add, sub], ids=["add", "sub"])
+    def test_sum_matches_the_jump_sum(self, op):
+        """f +- g is from_jumps of the two jump lists.  The values are
+        multiples of 2^-51 in [-2, 2], so every sum and difference of two of
+        them is a double and the two sides agree exactly."""
+        rng = random.Random(f"jump-sum-{op.__name__}")
+        for _ in range(300):
+            f = _ragged_float(rng, rng.randint(2, 60))
+            g = _ragged_float(rng, rng.randint(2, 60), near=f.breakpoints[1:-1:3])
+            jumps = f.jumps() + [(t, op(0.0, size)) for t, size in g.jumps()]
+            assert combine(op, f, g) == from_jumps(jumps, FLOAT)
 
     @pytest.mark.parametrize("backend", ["exact", "float"])
     def test_binary_ops_match_midpoint_rule(self, backend):
@@ -288,10 +311,10 @@ def float_steps(draw):
 
 class TestCells:
     """The walk's cells on a window against the sorted union of the inputs'
-    breakpoints cut to the window: exact inputs read at each cell's start;
-    float ones with each breakpoint within the snap distance of the last
-    kept one (lo first) fused onto it, the last kept one dropped if within
-    it of hi, and read at each cell's midpoint."""
+    breakpoints cut to the window.  A breakpoint within the snap distance
+    (0 exact, 1e-12 float) of the cell's start (lo first) is fused onto it,
+    and each input is read at the last one fused, the start if none;
+    failing that, one within the snap distance of hi is dropped."""
 
     @given(st.booleans(), st.data())
     def test_cells_match_the_merged_grid(self, on_floats, data):
@@ -302,25 +325,30 @@ class TestCells:
             ends = [float(t) for t in ends] + [min(max(t + d, 0.0), 1.0) for t in bps for d in (-5e-13, 5e-13)]
             ends += [math.nextafter(t, 0.0) for t in bps]
         lo, hi = data.draw(st.sampled_from(ends)), data.draw(st.sampled_from(ends))
-        grid = [lo] + [t for t in bps if lo < t < hi]
-        if on_floats:
-            kept = grid[:1]
-            for t in grid[1:]:
-                if t - kept[-1] > FLOAT.snap:
-                    kept.append(t)
-            if len(kept) > 1 and hi - kept[-1] <= FLOAT.snap:
-                kept.pop()
-            grid = kept
-        grid.append(hi)
-        at = (lambda t0, t1: (t0 + t1) / 2) if on_floats else (lambda t0, t1: t0)
-        want = [(t0, t1, [f(at(t0, t1)) for f in fs]) for t0, t1 in zip(grid, grid[1:])] if lo < hi else []
+        snap = FLOAT.snap if on_floats else 0
+        starts, reads = [lo], [lo]
+        for t in bps:
+            if not lo < t < hi:
+                continue
+            if t - starts[-1] <= snap:
+                reads[-1] = t
+            elif hi - t > snap:
+                starts.append(t)
+                reads.append(t)
+        cuts = zip(starts, starts[1:] + [hi], reads)
+        want = [(t0, t1, [f(x) for f in fs]) for t0, t1, x in cuts] if lo < hi else []
         scalars = FLOAT if on_floats else EXACT
         assert list(cells(fs, scalars(lo), scalars(hi))) == want
 
     def test_one_ulp_window_at_one_reads_the_last_piece(self):
-        # the window's midpoint rounds up to 1, the last breakpoint
         lo = math.nextafter(1.0, 0.0)
         assert list(cells((StepFunction([0.0, 0.5, 1.0], [1.0, 2.0]),), lo, 1.0)) == [(lo, 1.0, [2.0])]
+
+    def test_one_ulp_window_reads_its_own_piece(self):
+        # f is 1 on [1/4 - 8e-13, 1/4) and 0 from 1/4 on
+        f = StepFunction([0.0, 1 / 12 - 8e-13, 1 / 12, 0.25 - 8e-13, 0.25, 1.0], [0.0, 1.0, 0.0, 1.0, 0.0])
+        lo = math.nextafter(0.25, 0.0)
+        assert list(cells((f,), lo, 0.25)) == [(lo, 0.25, [1.0])]
 
 
 def jumps_by_scan(f: StepFunction, lo=None, hi=None) -> list:
