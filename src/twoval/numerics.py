@@ -107,7 +107,7 @@ class Surd:
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "d", d)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
 
     @staticmethod
@@ -194,12 +194,6 @@ class Surd:
         d = self._common_d(o)
         return Surd._make(self.q0 - o.q0, self.q1 - o.q1, d)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -227,12 +221,6 @@ class Surd:
             (self.q1 * o.q0 - self.q0 * o.q1) / norm,
             d,
         )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -267,29 +255,25 @@ class Surd:
             return hash(self.q0)  # agrees with int/Fraction hashing
         return hash((self.q0, self.q1, self.d))
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) < 0
+    # The orderings and the reflected operators: one rule on the coerced
+    # operand ``o`` each, and NotImplemented for a foreign operand.
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) <= 0
+    def _coerced(rule):
+        def method(self, other):
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            return rule(self, o)
 
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) > 0
+        return method
 
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) >= 0
+    __lt__ = _coerced(lambda x, o: x._cmp(o) < 0)
+    __le__ = _coerced(lambda x, o: x._cmp(o) <= 0)
+    __gt__ = _coerced(lambda x, o: x._cmp(o) > 0)
+    __ge__ = _coerced(lambda x, o: x._cmp(o) >= 0)
+    __rsub__ = _coerced(lambda x, o: o - x)
+    __rtruediv__ = _coerced(lambda x, o: o / x)
+    del _coerced
 
     def __bool__(self):
         return bool(self.q0) or bool(self.q1)
@@ -409,6 +393,8 @@ def read_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
     except ValueError:  # int() of a number literal past the digit limit
         raise ParseError(_digit_limit()) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def _echo(value) -> str:
@@ -490,29 +476,22 @@ def format_scalar(x: Scalar) -> str:
         raise ValueError(_digit_limit()) from None
 
 
+@dataclass(frozen=True)
 class Interval:
     """The pair (lo, hi) of scalar endpoints on one backend, with lo <= hi."""
 
+    # __slots__ by hand: slots=True makes 3.11's frozen __setattr__ raise TypeError on a new name
     __slots__ = ("lo", "hi")
+    lo: Scalar
+    hi: Scalar
 
-    def __init__(self, lo, hi):
-        b = backend_of(lo, hi)
-        lo, hi = b(lo), b(hi)
+    def __post_init__(self):
+        b = backend_of(self.lo, self.hi)
+        lo, hi = b(self.lo), b(self.hi)
         if hi < lo:
             raise ValueError(f"empty interval: [{lo}, {hi})")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Interval is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Interval):
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     def __repr__(self):
         return f"[{format_scalar(self.lo)}, {format_scalar(self.hi)})"

@@ -87,7 +87,7 @@ class StepFunction:
         object.__setattr__(self, "scalars", scalars)
         object.__setattr__(self, "radicand", radicand)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
 
     # -- construction helpers -------------------------------------------
@@ -401,13 +401,14 @@ def step_from_json_dict(d: dict) -> StepFunction:
             return v
         raise ParseError(f"exact backend requires string or integer entries, got {_echo(x)}")
 
+    tag = backend[6:] if isinstance(backend, str) and backend.startswith("exact-") else ""
     if backend == "float":
         want_float = True
-    elif isinstance(backend, str) and backend.startswith("exact-"):
+    elif tag.isascii() and tag.isdigit():  # int() alone takes signs, spaces, "_" and non-ASCII digits
         want_float = False
         try:
-            d_tag = int(backend[6:])
-        except ValueError as exc:
+            d_tag = int(tag)
+        except ValueError as exc:  # past the digit limit
             raise ParseError(f"bad backend tag {_echo(backend)}") from exc
     else:
         raise ParseError(f"bad backend tag {_echo(backend)}")

@@ -98,7 +98,7 @@ class EquippedSystem:
         object.__setattr__(self, "alpha1", alpha1)
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("EquippedSystem is immutable")
 
     @property

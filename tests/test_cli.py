@@ -463,6 +463,21 @@ class TestPushforward:
         assert main(["pushforward", path]) == 0
         assert step_from_json(capsys.readouterr().out) == pushforward_density(sys_)
 
+    @pytest.mark.parametrize(
+        "tag",
+        ["exact--5", "exact-+1", "exact- 1", "exact-1_0", "exact-\u0663"],
+        ids=["minus", "plus", "space", "underscore", "arabic-indic"],
+    )
+    def test_backend_tag_takes_ascii_digits_only(self, tmp_path, capsys, tag):
+        d = system_to_json_dict(lebesgue_family(3))
+        d["p"]["backend"] = tag
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["pushforward", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: bad backend tag {tag!r}\n"
+
     def test_csv_sidecar(self, tmp_path, capsys):
         path = write_system(tmp_path, golden_system())
         csv = tmp_path / "q.csv"
@@ -746,6 +761,20 @@ class TestJsonDigitLimit:
         assert captured.out == ""
         assert captured.err.startswith("parse error: invalid JSON: ")
         assert len(captured.err.splitlines()) == 1
+
+
+class TestJsonNesting:
+    """JSON nested past the parser's recursion limit is bad input, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["check", "solve-alpha"])
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000], ids=["arrays", "objects"])
+    def test_exits_two_with_one_line(self, command, text, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: invalid JSON: nested too deeply\n"
 
 
 class TestMixedRadicands:

@@ -22,6 +22,8 @@ from twoval.piecewise import StepFunction, from_jumps
 from twoval.system import EquippedSystem, as_float_system, check_fill, system_to_json
 
 WEIGHT_PAIRS = [(1, 0), (0, 1), (1, 2), (3, 5)]
+#: (beta, gamma, fill) triples that cover both zero regions and a nonzero fill
+FAMILY_TRIPLES = [(1, 1, 0), (1, 0, 0), (0, 1, Fraction(1, 2)), (Fraction(2, 3), Fraction(5, 7), 1), (3, 1, Fraction(1, 3))]
 
 
 class TestLebesgueFamily:
@@ -45,12 +47,11 @@ class TestLebesgueFamily:
             Fraction(1, 3)
         )
 
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", [*range(2, 41), 101])
     def test_matches_solver(self, n):
         fill = Fraction(2, 5)
-        assert lebesgue_family(n, fill=fill).alpha1 == solve_alpha1(
-            Fraction(1, n), StepFunction.constant(1), fill=fill
-        ).alpha1
+        solved = solve_alpha1(Fraction(1, n), StepFunction.constant(1), fill=fill)
+        assert system_to_json(lebesgue_family(n, fill=fill)) == system_to_json(solved)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -68,13 +69,14 @@ class TestNonconstantFamily:
         assert report.passed and report.max_deviation == 0
         assert invariance_defect(s).sup_norm() == 0
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [*range(2, 41), 64, 101])
     def test_strip_formulas_match_solver(self, n):
         # the solver derives alpha1 from the window identities alone, so
         # agreement validates the closed-form strip values independently
-        s = nonconstant_family(n, 1, 2, fill=Fraction(1, 7))
-        solved = solve_alpha1(s.a, s.density, fill=Fraction(1, 7))
-        assert s.alpha1 == solved.alpha1
+        for beta, gamma, fill in FAMILY_TRIPLES:
+            s = nonconstant_family(n, beta, gamma, fill=fill)
+            solved = solve_alpha1(s.a, s.density, fill=fill)
+            assert system_to_json(s) == system_to_json(solved), (beta, gamma, fill)
 
     def test_parameter_window(self):
         for n in range(2, 13):
@@ -179,10 +181,7 @@ def nonconstant_family_by_cases(n: int, beta, gamma, *, fill=0) -> EquippedSyste
 class TestFamilyOracles:
     """The family's strip rule and quadratic against the case tables they replace."""
 
-    @pytest.mark.parametrize(
-        "beta,gamma,fill",
-        [(1, 1, 0), (1, 0, 0), (0, 1, Fraction(1, 2)), (Fraction(2, 3), Fraction(5, 7), 1), (3, 1, Fraction(1, 3))],
-    )
+    @pytest.mark.parametrize("beta,gamma,fill", FAMILY_TRIPLES)
     def test_json_matches_case_tables(self, beta, gamma, fill):
         for n in [*range(2, 65), 101, 200]:
             got = system_to_json(nonconstant_family(n, beta, gamma, fill=fill))

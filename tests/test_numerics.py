@@ -1,6 +1,7 @@
 """Exact quadratic-field scalars, parsing, and intervals."""
 
 import math
+import operator
 import random
 import re
 import sys
@@ -25,7 +26,8 @@ from twoval.numerics import (
     max_or_nan,
     parse_scalar,
 )
-from twoval.piecewise import step_from_json_dict
+from twoval.families import lebesgue_family
+from twoval.piecewise import StepFunction, step_from_json_dict
 
 GOLDEN_A = Surd(Fraction(3, 2), Fraction(-1, 2), 5)  # (3 - sqrt(5))/2
 
@@ -561,6 +563,53 @@ class TestInterval:
         iv = Interval(0, 0.75)
         assert (iv.lo, iv.hi) == (0.0, 0.75) and isinstance(iv.lo, float)
         assert repr(iv) == "[0.0, 0.75)"
+
+
+class TestValueContract:
+    """Immutable values, and operators that defer to what they cannot coerce."""
+
+    @pytest.mark.parametrize(
+        "make,attr",
+        [
+            (lambda: GOLDEN_A, "q0"),
+            (lambda: Interval(0, 1), "lo"),
+            (lambda: StepFunction.constant(1), "values"),
+            (lambda: lebesgue_family(3), "a"),
+        ],
+        ids=["Surd", "Interval", "StepFunction", "EquippedSystem"],
+    )
+    def test_assignment_raises(self, make, attr):
+        x = make()
+        before = getattr(x, attr)
+        with pytest.raises(AttributeError):
+            setattr(x, attr, before)
+        with pytest.raises(AttributeError):
+            x.extra = 0
+
+    def test_interval_deletion_raises(self):
+        iv = Interval(0, 1)
+        for attr in ("lo", "hi"):
+            with pytest.raises(AttributeError):
+                delattr(iv, attr)
+        assert iv == Interval(0, 1)
+
+    @pytest.mark.parametrize("other", ["x", None, object()], ids=["str", "None", "object"])
+    def test_foreign_operand(self, other):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(GOLDEN_A, other)
+            with pytest.raises(TypeError):
+                op(other, GOLDEN_A)
+        with pytest.raises(TypeError):
+            other - GOLDEN_A
+        with pytest.raises(TypeError):
+            other / GOLDEN_A
+        assert (GOLDEN_A == other) is False and (other == GOLDEN_A) is False
+
+    def test_step_function_operand_is_deferred_to(self):
+        f = StepFunction([0, Fraction(1, 2), 1], [1, 3])
+        assert Surd(2) * f == StepFunction([0, Fraction(1, 2), 1], [2, 6])
+        assert Surd(1) - f == StepFunction([0, Fraction(1, 2), 1], [0, -2])
 
 
 class TestMaxOrNan:
