@@ -153,7 +153,7 @@ def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionRe
     and to sup-deviation 1e-10 on float ones.
     """
     a, n = system.a, system.n
-    tol = _tolerance(system.density.scalars, tol)
+    tol = _tolerance(system.scalars, tol)
     checks = _checks(a, n, _identity(a, n, system.density), tol, system)
     max_deviation = max_or_nan([c.deviation for c in checks])
     return ConditionReport(n, all(c.passed for c in checks), max_deviation, *checks[:2], tuple(checks[2:]))

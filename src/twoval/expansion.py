@@ -48,6 +48,9 @@ from __future__ import annotations
 
 from .numerics import Scalar, backend_of
 
+#: the longest walk the expansions take; a golden exact orbit that long takes about 25 s on a 2-vCPU Xeon
+_MAX_LENGTH = 10**6
+
 
 class InadmissibleChoiceError(ValueError):
     """A supplied digit choice is not admissible at the current state."""
@@ -97,8 +100,8 @@ def value_from_tail(x, beta, length: int):
 
 def orbit_walk(x, beta, length: int, choose=None) -> tuple:
     """The walk behind ``orbit_expansion``: its word and the tail state it ends on."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    if not 0 <= length <= _MAX_LENGTH:
+        raise ValueError(f"length must lie in [0, {_MAX_LENGTH}]")
     if choose is not None and choose != "lazy" and not callable(choose):
         raise TypeError("choose must be None, 'lazy', or a callable")
     b = backend_of(x, beta)
@@ -154,8 +157,8 @@ def greedy_expansion(x, beta, length: int) -> tuple:
 def enumerate_walk(x, beta, length: int, max_words: int = 4096) -> list:
     """The walk behind ``enumerate_expansions``: its words, in its order, each
     paired with the tail state it ends on."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    if not 0 <= length <= _MAX_LENGTH:
+        raise ValueError(f"length must lie in [0, {_MAX_LENGTH}]")
     if max_words < 1:
         raise ValueError("max_words must be positive")
     b = backend_of(x, beta)

@@ -110,6 +110,9 @@ class Surd:
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Surd is immutable")
+
     @staticmethod
     def _make(q0: Fraction, q1: Fraction, d: int) -> "Surd":
         """The surd from an already canonical triple: ``Fraction`` coefficients

@@ -15,12 +15,14 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul, sub, truediv
 from typing import Iterator, Sequence
 
 from .numerics import (
     EXACT,
+    Backend,
     Interval,
     MixedBackendError,
     MixedRadicandError,
@@ -44,14 +46,23 @@ class ZeroMassError(ValueError):
     """A function with zero total mass cannot be sampled."""
 
 
+@dataclass(frozen=True, init=False)
 class StepFunction:
     """Piecewise-constant function on [0,1] with left-closed pieces.
 
     ``scalars`` is the :class:`~twoval.numerics.Backend` every breakpoint and
-    value lives on.
+    value lives on, and ``radicand`` the irrational radicand of the canonical
+    pieces (1 if none).  Instances are frozen: assigning or deleting a field
+    raises ``AttributeError``.  Equality and hashing are field-wise, so an
+    exact function never equals a float one, and the comparison does not raise.
     """
 
-    __slots__ = ("breakpoints", "values", "scalars", "radicand")
+    # __slots__ by hand: slots=True makes 3.11's frozen __setattr__ raise TypeError on a new name
+    __slots__ = ("scalars", "breakpoints", "values", "radicand")
+    scalars: Backend  # first, so that exact == float is decided before any entry is compared
+    breakpoints: tuple
+    values: tuple
+    radicand: int
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
         bps = list(breakpoints)
@@ -67,12 +78,9 @@ class StepFunction:
         for lo, hi in zip(bps, bps[1:]):
             if not lo < hi:
                 raise ValueError("breakpoints must be strictly increasing")
-        radicand = 1
-        if not scalars.is_float:
-            ds = {x.d for x in bps + vals if x.d != 1}
-            if len(ds) > 1:
-                raise MixedRadicandError(f"one function cannot span radicands {sorted(ds)}")
-            radicand = ds.pop() if ds else 1
+        ds = set() if scalars.is_float else {x.d for x in bps + vals if x.d != 1}
+        if len(ds) > 1:
+            raise MixedRadicandError(f"one function cannot span radicands {sorted(ds)}")
         # canonical form: merge adjacent equal values
         m_bps = [bps[0]]
         m_vals = []
@@ -82,13 +90,12 @@ class StepFunction:
                 continue
             m_bps.append(t)
             m_vals.append(v)
+        # read off the canonical pieces, since a merge can drop every irrational breakpoint
+        radicand = ds.pop() if ds and any(x.d != 1 for x in m_bps + m_vals) else 1
+        object.__setattr__(self, "scalars", scalars)
         object.__setattr__(self, "breakpoints", tuple(m_bps))
         object.__setattr__(self, "values", tuple(m_vals))
-        object.__setattr__(self, "scalars", scalars)
         object.__setattr__(self, "radicand", radicand)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StepFunction is immutable")
 
     # -- construction helpers -------------------------------------------
 
@@ -136,18 +143,6 @@ class StepFunction:
 
     def is_nonnegative(self) -> bool:
         return not self.min_value < self.scalars.zero
-
-    def __eq__(self, other):
-        if not isinstance(other, StepFunction):
-            return NotImplemented
-        return (
-            self.is_float == other.is_float
-            and self.breakpoints == other.breakpoints
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.breakpoints, self.values))
 
     def __repr__(self):
         bps = ", ".join(format_scalar(t) for t in self.breakpoints)
@@ -418,8 +413,10 @@ def step_from_json_dict(d: dict) -> StepFunction:
         f = StepFunction(bps, vals)
     except (ValueError, MixedRadicandError) as exc:
         raise ParseError(f"invalid step function: {exc}") from exc
-    if not want_float and f.radicand not in (1, d_tag):
-        raise ParseError(f"entries use sqrt({f.radicand}) but backend says {_echo(backend)}")
+    if not want_float:
+        used = max(x.d for x in bps + vals)  # of every entry, merged away or not
+        if used not in (1, d_tag):
+            raise ParseError(f"entries use sqrt({used}) but backend says {_echo(backend)}")
     return f
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numerics import (
@@ -69,59 +70,52 @@ def check_fill(fill, scalars: Backend) -> Scalar:
     return fill
 
 
+@dataclass(frozen=True)
 class EquippedSystem:
     """Parameter a plus a weighting (p, alpha1) on one backend.
 
     p is a nonnegative step density (not necessarily of unit mass) and
     alpha1 maps into [0,1].  a, p and alpha1 may use at most one irrational
-    radicand between them.  The derived n = derive_n(a) comes for free.
+    radicand between them.  The backend ``scalars`` and n = derive_n(a) are
+    derived.  Instances are frozen: assigning or deleting a field raises
+    ``AttributeError``.  Equality and hashing are field-wise, so an exact
+    system never equals a float one, and the comparison does not raise.
     """
 
-    __slots__ = ("a", "density", "alpha1", "n")
+    scalars: Backend = field(init=False)  # first, so that exact == float is decided before any scalar is compared
+    a: Scalar
+    density: StepFunction
+    alpha1: StepFunction
+    n: int = field(init=False, compare=False)
 
-    def __init__(self, a, density: StepFunction, alpha1: StepFunction):
+    def __post_init__(self):
+        density, alpha1 = self.density, self.alpha1
         if not isinstance(density, StepFunction) or not isinstance(alpha1, StepFunction):
             raise TypeError("density and alpha1 must be step functions")
-        radicands = {density.radicand, alpha1.radicand, getattr(a, "d", 1)} - {1}
+        radicands = {density.radicand, alpha1.radicand, getattr(self.a, "d", 1)} - {1}
         if len(radicands) > 1:
             raise MixedRadicandError(f"a, p and alpha1 mix radicands {sorted(radicands)}")
-        a = density.scalars(a)
+        b = density.scalars
+        a = b(self.a)
         if alpha1.is_float != density.is_float:
             raise MixedBackendError("a, density and alpha1 must share one backend")
         n = derive_n(a)  # raises unless 0 < a <= 1/2
         if not density.is_nonnegative():
             raise ValueError("density must be nonnegative")
-        if alpha1.min_value < density.scalars.zero or alpha1.max_value > density.scalars.one:
+        if alpha1.min_value < b.zero or alpha1.max_value > b.one:
             raise ValueError("alpha1 must map into [0,1]")
+        object.__setattr__(self, "scalars", b)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "alpha1", alpha1)
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EquippedSystem is immutable")
 
     @property
     def is_float(self) -> bool:
-        return isinstance(self.a, float)
+        return self.scalars.is_float
 
     @property
     def weight_first(self) -> StepFunction:
         """A1 = alpha1 * p, the mass following the first map."""
         return self.alpha1 * self.density
-
-    def __eq__(self, other):
-        if not isinstance(other, EquippedSystem):
-            return NotImplemented
-        return (
-            self.is_float == other.is_float
-            and self.a == other.a
-            and self.density == other.density
-            and self.alpha1 == other.alpha1
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.density, self.alpha1))
 
     def __repr__(self):
         return (

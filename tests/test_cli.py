@@ -636,6 +636,14 @@ class TestExpand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", [[], ["--all"], ["--rule", "lazy"]], ids=["greedy", "all", "lazy"])
+    def test_length_past_the_cap_exits_two_fast(self, capsys, flag):
+        t0 = time.perf_counter()
+        assert main(["expand", *flag, "--x", "1/2", "--beta", "2", "--length", str(10**20)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: length must lie in [0, 1000000]\n"
+
 
 #: exact bases for the --values oracle; each also runs as its float copy
 ORACLE_BASES = ["1/2 + 1/2*sqrt(5)", "9/5", "3/2", "2", "sqrt(2)"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from twoval.cli import main
 from twoval.expansion import (
+    _MAX_LENGTH,
     BudgetExceededError,
     InadmissibleChoiceError,
     enumerate_expansions,
@@ -299,9 +300,12 @@ class TestEnumerate:
             enumerate_expansions(1.001, 2.0, 4)
 
     def test_rejects_oversized_length(self):
-        # no length cap: only max_words limits the walk
+        # below the length cap only max_words limits the walk
         assert enumerate_expansions(Fraction(1, 2), 2, 5000) == [(1,) + (0,) * 4999]
         assert len(enumerate_expansions(0, 2.0, 900)) == 1
+        for walk in (enumerate_expansions, orbit_expansion):
+            with pytest.raises(ValueError, match=r"length must lie in \[0, 1000000\]"):
+                walk(Fraction(1, 2), 2, _MAX_LENGTH + 1)
 
     def test_long_golden_walk_runs_out_of_budget_fast(self):
         t0 = time.perf_counter()

@@ -1,5 +1,6 @@
 """Exact quadratic-field scalars, parsing, and intervals."""
 
+import dataclasses
 import math
 import operator
 import random
@@ -27,7 +28,8 @@ from twoval.numerics import (
     parse_scalar,
 )
 from twoval.families import lebesgue_family
-from twoval.piecewise import StepFunction, step_from_json_dict
+from twoval.piecewise import StepFunction, step_from_json_dict, step_to_json
+from twoval.system import as_float_system
 
 GOLDEN_A = Surd(Fraction(3, 2), Fraction(-1, 2), 5)  # (3 - sqrt(5))/2
 
@@ -565,19 +567,20 @@ class TestInterval:
         assert repr(iv) == "[0.0, 0.75)"
 
 
+#: a maker of each value type, and one of its fields
+VALUES = [
+    (lambda: GOLDEN_A, "q0"),
+    (lambda: Interval(0, 1), "lo"),
+    (lambda: StepFunction.constant(1), "values"),
+    (lambda: lebesgue_family(3), "a"),
+]
+VALUE_IDS = ["Surd", "Interval", "StepFunction", "EquippedSystem"]
+
+
 class TestValueContract:
     """Immutable values, and operators that defer to what they cannot coerce."""
 
-    @pytest.mark.parametrize(
-        "make,attr",
-        [
-            (lambda: GOLDEN_A, "q0"),
-            (lambda: Interval(0, 1), "lo"),
-            (lambda: StepFunction.constant(1), "values"),
-            (lambda: lebesgue_family(3), "a"),
-        ],
-        ids=["Surd", "Interval", "StepFunction", "EquippedSystem"],
-    )
+    @pytest.mark.parametrize("make,attr", VALUES, ids=VALUE_IDS)
     def test_assignment_raises(self, make, attr):
         x = make()
         before = getattr(x, attr)
@@ -586,12 +589,38 @@ class TestValueContract:
         with pytest.raises(AttributeError):
             x.extra = 0
 
-    def test_interval_deletion_raises(self):
-        iv = Interval(0, 1)
-        for attr in ("lo", "hi"):
-            with pytest.raises(AttributeError):
-                delattr(iv, attr)
-        assert iv == Interval(0, 1)
+    @pytest.mark.parametrize("make,attr", VALUES, ids=VALUE_IDS)
+    def test_deletion_raises(self, make, attr):
+        x = make()
+        with pytest.raises(AttributeError):
+            delattr(x, attr)
+        assert x == make() and repr(x) == repr(make())
+
+    def test_exact_never_equals_float(self):
+        f, g = StepFunction.constant(1), StepFunction.constant(1.0)
+        system = lebesgue_family(3)
+        for x, y in ((f, g), (system, as_float_system(system))):
+            assert (x == y) is False and (y == x) is False
+            assert x != y and y != x
+
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            (StepFunction([0, GOLDEN_A, 1], [1, 1]), StepFunction.constant(1)),
+            (StepFunction([0, Fraction(1, 4), Fraction(1, 2), 1], [1, 1, 2]), StepFunction([0, Fraction(1, 2), 1], [1, 2])),
+            (StepFunction([0.0, 0.25, 1.0], [0.5, 0.5]), StepFunction.constant(0.5)),
+        ],
+        ids=["merged-irrational", "merged-rational", "float"],
+    )
+    def test_equal_step_functions_hash_and_write_alike(self, f, g):
+        assert f == g and hash(f) == hash(g)
+        assert step_to_json(f) == step_to_json(g)
+
+    def test_every_construction_validates(self):
+        system = lebesgue_family(3)
+        with pytest.raises(ValueError, match="alpha1 must map into"):
+            dataclasses.replace(system, alpha1=StepFunction.constant(2))
+        assert dataclasses.replace(system, a=system.a) == system
 
     @pytest.mark.parametrize("other", ["x", None, object()], ids=["str", "None", "object"])
     def test_foreign_operand(self, other):

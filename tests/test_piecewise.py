@@ -70,10 +70,15 @@ class TestConstruction:
     def test_radicand_mixing_rejected(self):
         with pytest.raises(MixedRadicandError):
             StepFunction([0, Surd(0, Fraction(1, 3), 2), 1], [Surd(0, 1, 3), 0])
+        # every given entry counts, also a breakpoint the merge drops
+        with pytest.raises(MixedRadicandError):
+            StepFunction([0, Surd(0, Fraction(1, 4), 2), Surd(0, Fraction(1, 4), 3), 1], [1, 1, 2])
 
     def test_backend_tags(self):
         assert StepFunction([0, H, 1], [1, 2]).backend == "exact-1"
         assert StepFunction([0, H, 1], [Surd(0, 1, 5), 2]).backend == "exact-5"
+        # read off the canonical pieces: the sqrt(5) breakpoint merges away
+        assert StepFunction([0, Surd(H * 3, -H, 5), 1], [1, 1]).backend == "exact-1"
         assert StepFunction([0.0, 0.5, 1.0], [1.0, 2.0]).backend == "float"
 
 
@@ -724,6 +729,7 @@ class TestSerialization:
             '{"breakpoints": [0, 1], "values": ["0.5"], "backend": "exact-1"}',
             '{"breakpoints": [0.0, 1.0], "values": ["1/2"], "backend": "float"}',
             '{"breakpoints": ["0", "1"], "values": ["sqrt(2)"], "backend": "exact-5"}',
+            '{"breakpoints": ["0", "3/2 - 1/2*sqrt(5)", "1"], "values": ["1", "1"], "backend": "exact-3"}',
             '{"breakpoints": [0, 0.5, 1], "values": [1], "backend": "float"}',
         ],
     )

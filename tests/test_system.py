@@ -265,6 +265,12 @@ class TestEquippedSystem:
         with pytest.raises(MixedRadicandError):
             EquippedSystem(Fraction(1, 3), p, StepFunction.constant(Surd(0, Fraction(1, 4), 3)))
 
+    def test_merged_away_radicand_does_not_mix(self):
+        # alpha1 equals the constant 1 once its sqrt(5) breakpoint merges away
+        alpha = StepFunction([0, GOLDEN_A, 1], [1, 1])
+        system = EquippedSystem(Surd(0, Fraction(1, 4), 2), StepFunction.constant(1), alpha)
+        assert system.alpha1 == StepFunction.constant(1) and system.alpha1.radicand == 1
+
 
 class TestPushforwardDensity:
     def test_golden_family_is_invariant(self):
