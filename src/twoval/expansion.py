@@ -109,23 +109,18 @@ def orbit_walk(x, beta, length: int, choose=None) -> tuple:
     if x < 0 or x > 1:
         raise ValueError("point must lie in [0,1]")
     is_float = b.is_float
+    # digit 1 is admissible from above up and digit 0 up to below; above <= below,
+    # and on the exact backend both are 1, so each rule costs one comparison
     below, above = b.one + b.snap, b.one - b.snap
     digits = []
     for k in range(length):
         bx = beta * x
-        # above <= below, so past below only 1 is admissible; on the exact
-        # backend both are 1, and up to 1 an equality test decides bx >= 1
-        if not bx <= below:
-            options = (1,)
-        elif bx >= above if is_float else bx == above:
-            options = (0, 1)
-        else:
-            options = (0,)
         if choose is None:
-            d = options[-1]
+            d = 1 if bx >= above else 0
         elif choose == "lazy":
-            d = options[0]
+            d = 0 if bx <= below else 1
         else:
+            options = (0,) * (bx <= below) + (1,) * (bx >= above)
             d = choose(k, options)
             if d not in options:
                 raise InadmissibleChoiceError(f"digit {d!r} not admissible at step {k}")

@@ -12,12 +12,13 @@ Two backends share one algebra:
 One rule puts a scalar on a backend, and :class:`Backend` is the only place
 that states it.  ``Fraction`` and :class:`Surd` are exact, floats are float,
 and ints are neutral literals that join either backend.  A bool is not a
-scalar (``TypeError``).  Exact mixed with float raises
-:class:`MixedBackendError`; two surds over distinct irrational radicands
-raise :class:`MixedRadicandError`.  Conversion is always explicit
-(``float(x)``).  Each backend also fixes its 0, its 1, the default tolerance
-of a verdict (0 exact, 1e-10 float) and its snap distance, below which two
-computed points are one (0 exact, 1e-12 float).
+scalar, and neither is text (``TypeError``; :func:`parse_scalar` reads
+text).  Exact mixed with float raises :class:`MixedBackendError`; two surds
+over distinct irrational radicands raise :class:`MixedRadicandError`.
+Conversion is always explicit (``float(x)``).  Each backend also fixes its
+0, its 1, the default tolerance of a verdict (0 exact, 1e-10 float) and its
+snap distance, below which two computed points are one (0 exact, 1e-12
+float).
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ class ParseError(ValueError):
 
 @lru_cache(maxsize=1024)
 def _square_free_split(v: int) -> tuple[int, int]:
-    """Return ``(s, d)`` with ``v == s*s*d`` and ``d`` square-free; kept for the last 1,024 radicands."""
-    if v < 0:
-        raise ValueError("radicand must be nonnegative")
+    """Return ``(s, d)`` with ``v == s*s*d`` and ``d`` square-free, for ``v >= 0``; kept for the last 1,024 radicands."""
     if v > 10**12:  # trial division below costs about 0.2 s at this cap
         raise ValueError(f"radicand {_echo(v)} exceeds 10^12")
     if v == 0:
@@ -92,17 +91,12 @@ class Surd:
         d = int(d)
         if d < 0:
             raise ValueError("radicand must be a nonnegative integer")
-        if d == 0:
-            q1 = Fraction(0)
-            d = 1
-        elif q1:
-            s, d = _square_free_split(d)
+        s, d = _square_free_split(d) if q1 else (0, 1)
+        if d == 1:  # a square radicand, 0 among them, or no root term
+            q0 += q1 * s
+            q1 = _ZERO
+        else:
             q1 *= s
-            if d == 1:
-                q0 += q1
-                q1 = Fraction(0)
-        if not q1:
-            d = 1
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "d", d)
@@ -338,8 +332,8 @@ class Backend:
     snap: Scalar
 
     def __call__(self, x) -> Scalar:
-        if isinstance(x, bool):
-            raise TypeError("bool is not a scalar")
+        if isinstance(x, (bool, str)):
+            raise TypeError(f"{type(x).__name__} is not a scalar")
         if self.is_float:
             if isinstance(x, (Surd, Fraction)):
                 raise MixedBackendError("exact scalar used on the float backend; convert explicitly")

@@ -47,19 +47,17 @@ def derive_n(a) -> int:
     """The integer n >= 2 with 1/(n+1) < a <= 1/n, which is floor(1/a)."""
     if not 0 < a or Fraction(1, 2) < a:
         raise ValueError(f"parameter must lie in (0, 1/2], got {format_scalar(a)}")
-    if isinstance(a, Surd) and a.q1:
-        # a = (u + c*sqrt(d))/den in integers, so 1/a = sg*den*(u - c*sqrt(d))/|N|, N = u*u - c*c*d, sg = sign(N).
-        # -sg*den*c*sqrt(d) is irrational: its floor is r = isqrt(its square) if positive, else -r - 1.
-        q0, q1, d = a.q0, a.q1, a.d
-        u = q0.numerator * q1.denominator
-        c = q1.numerator * q0.denominator
-        den = q0.denominator * q1.denominator
-        norm = u * u - c * c * d
-        sg = 1 if norm > 0 else -1
-        r = math.isqrt(den * den * c * c * d)
-        return (sg * den * u + (-r - 1 if sg * c > 0 else r)) // abs(norm)
-    a = Fraction(a.q0 if isinstance(a, Surd) else a)  # a float is read exactly
-    return a.denominator // a.numerator
+    # a = (u + c*sqrt(d))/den in integers, with c = 0 for a rational or a float (read exactly), so
+    # 1/a = sg*den*(u - c*sqrt(d))/|N|, N = u*u - c*c*d, sg = sign(N).  -sg*den*c*sqrt(d) is 0 or
+    # irrational: its floor is r = isqrt(its square) if it is nonnegative, else -r - 1.
+    q0, q1, d = (a.q0, a.q1, a.d) if isinstance(a, Surd) else (Fraction(a), Fraction(0), 1)
+    u = q0.numerator * q1.denominator
+    c = q1.numerator * q0.denominator
+    den = q0.denominator * q1.denominator
+    norm = u * u - c * c * d
+    sg = 1 if norm > 0 else -1
+    r = math.isqrt(den * den * c * c * d)
+    return (sg * den * u + (-r - 1 if sg * c > 0 else r)) // abs(norm)
 
 
 def check_fill(fill, scalars: Backend) -> Scalar:

@@ -545,6 +545,14 @@ class TestSimulate:
         assert len(rep["step_distances"]) == 3
         assert rep["l1_distance_to_reference"] < 0.2
 
+    def test_steps_past_the_cap_exit_two_fast(self, tmp_path, capsys):
+        path = write_system(tmp_path, golden_system())
+        t0 = time.perf_counter()
+        assert main(["simulate", path, "--seed", "1", "--steps", str(10**20)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: n_steps must lie in [0, 1000000]\n"
+
     def test_seed_is_required(self, tmp_path):
         path = write_system(tmp_path, golden_system())
         with pytest.raises(SystemExit) as exc:

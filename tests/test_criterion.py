@@ -283,7 +283,8 @@ def _failing_copies(system: EquippedSystem) -> list:
 
 
 class TestOneWalk:
-    """Every window read in one walk over S and one over A1 - S, against a mask per window."""
+    """Every window read on its own cells, S on the density windows and
+    alpha1*p - S on each J_m, against a mask per window."""
 
     @pytest.mark.parametrize("case", JUMP_FORM_CASES)
     def test_checks_match_masks(self, case):

@@ -15,9 +15,10 @@ from twoval.expansion import (
     evaluate_expansion,
     greedy_expansion,
     orbit_expansion,
+    orbit_walk,
 )
 from twoval.families import lebesgue_family, nonconstant_family
-from twoval.numerics import MixedBackendError, Surd, backend_of
+from twoval.numerics import EXACT, MixedBackendError, Surd, backend_of
 
 PHI = Surd(Fraction(1, 2), Fraction(1, 2), 5)
 PHI_INV = Surd(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -185,6 +186,81 @@ class TestOrbit:
         w = orbit_expansion(Fraction(5, 64), PHI, length, choose=choose)
         assert len(w) == length
         assert len(calls) <= length + 8
+
+
+def options_walk(x, beta, length, choose=None):
+    """The orbit walk read through an options tuple at every step, in three
+    cases: past ``below`` only 1, from ``above`` up both digits (an equality
+    test on the exact backend, where both thresholds are 1), else only 0."""
+    b = backend_of(x, beta)
+    x, beta = b(x), b(beta)
+    below, above = b.one + b.snap, b.one - b.snap
+    digits = []
+    for k in range(length):
+        bx = beta * x
+        if not bx <= below:
+            options = (1,)
+        elif bx >= above if b.is_float else bx == above:
+            options = (0, 1)
+        else:
+            options = (0,)
+        d = options[-1] if choose is None else options[0] if choose == "lazy" else int(choose(k, options))
+        x = bx - d
+        if b.is_float:
+            x = min(max(x, 0.0), 1.0)
+        digits.append(d)
+    return tuple(digits), x
+
+
+#: exact bases for the orbit oracle; each also runs as its float copy
+ORBIT_BASES = {"golden": PHI, "9/5": Fraction(9, 5), "3/2": Fraction(3, 2), "2": 2, "sqrt2": Surd(0, 1, 2)}
+
+
+def orbit_points(beta, is_float):
+    """Points in [0, 1] for the oracle: the crossover x = 1/beta, where both
+    digits are admissible, a few others, and on floats the crossover moved by
+    up to the snap distance either way."""
+    cross = EXACT.one / beta
+    points = [0, 1, cross, Fraction(1, 2), Fraction(5, 7), Fraction(5, 64)]
+    if not is_float:
+        return points
+    return [float(p) for p in points] + [float(cross) + e for e in (-1e-12, -4e-13, -1e-13, 1e-13, 4e-13, 1e-12)]
+
+
+def recording_choice(seed):
+    """A callable rule that picks an admissible digit at random and records
+    every step and options it was offered."""
+    rng = random.Random(seed)
+    seen = []
+
+    def pick(k, options):
+        seen.append((k, options))
+        return rng.choice(options)
+
+    return pick, seen
+
+
+class TestOrbitOracle:
+    """One threshold per rule gives the words, tail states and offered options
+    of the three-case options rule."""
+
+    @pytest.mark.parametrize("is_float", [False, True], ids=["exact", "float"])
+    @pytest.mark.parametrize("base", ORBIT_BASES)
+    def test_matches_the_options_rule(self, base, is_float):
+        beta = float(ORBIT_BASES[base]) if is_float else ORBIT_BASES[base]
+        crossings = 0
+        for i, x in enumerate(orbit_points(ORBIT_BASES[base], is_float)):
+            for length in [*range(31), 2000]:
+                for choose in (None, "lazy"):
+                    got = orbit_walk(x, beta, length, choose)
+                    assert got == options_walk(x, beta, length, choose), (x, length, choose)
+                    assert {type(d) for d in got[0]} <= {int}
+                pick, seen = recording_choice(i * 10**4 + length)
+                ref_pick, ref_seen = recording_choice(i * 10**4 + length)
+                assert orbit_walk(x, beta, length, pick) == options_walk(x, beta, length, ref_pick)
+                assert seen == ref_seen and len(seen) == length
+                crossings += sum(options == (0, 1) for _, options in seen)
+        assert crossings >= 31
 
 
 def brute_force_words(x, beta, length):

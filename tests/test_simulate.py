@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twoval.simulate
 from twoval.families import lebesgue_family, nonconstant_family
 from twoval.piecewise import StepFunction, ZeroMassError
 from twoval.simulate import (
+    _MAX_STEPS,
     ChainReport,
     HistogramReport,
     OneStepReport,
@@ -224,6 +226,15 @@ class TestRunChain:
             run_chain(golden_system(), 100, -1, seed=1)
         with pytest.raises(ValueError):
             run_chain(golden_system(), 100, 2, seed=1, initial="spike")
+
+    @pytest.mark.parametrize("steps", [-1, _MAX_STEPS + 1, 10**20])
+    def test_step_count_outside_the_cap_raises_before_any_step(self, monkeypatch, steps):
+        def no_step(*args):
+            raise AssertionError("_advance ran")
+
+        monkeypatch.setattr(twoval.simulate, "_advance", no_step)
+        with pytest.raises(ValueError, match=r"n_steps must lie in \[0, 1000000\]"):
+            run_chain(golden_system(), 100, steps, seed=1)
 
 
 class TestSampleFile:
