@@ -38,7 +38,9 @@ Infeasibility is reported with the violated identity and its deviation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .numerics import FLOAT, Backend, Interval, Scalar, format_scalar, max_or_nan
 from .piecewise import StepFunction, cells, from_jumps
@@ -95,15 +97,22 @@ def _identity(a, n: int, p: StepFunction) -> StepFunction:
 
     The plus translates move the jumps of p to t - ka and the minus ones
     to t(1-a) - ka, scaled by -1/(1-a); one :func:`from_jumps` sums them.
+    Only jumps that land below 1 + snap are built, a sorted prefix per shift
+    found by bisection; from_jumps drops the others anyway (exact: t >= 1;
+    float: past 1 - snap and too far from any kept point to fuse onto it).
     """
     if n > _MAX_N:
         raise ValueError(f"need a > 1/{_MAX_N + 1}, so that n <= {_MAX_N}")
     w = 1 - a
     plus = p.jumps()
     minus = [(t * w, -v / w) for t, v in plus]
-    shifts = [k * a for k in range(n + 1)]
-    jumps = [(t + s, v) for s in shifts for t, v in plus] + [(t + s, v) for s in shifts[1:] for t, v in minus]
-    return from_jumps(jumps, p.scalars)
+    top = 1 + p.scalars.snap
+    ends = [(s, top - s) for s in (k * a for k in range(n + 1))]  # each shift, and where its moved jumps stop
+
+    def moved(src, ends):
+        return [(t + s, v) for s, end in ends for t, v in src[: bisect_left(src, end, key=itemgetter(0))]]
+
+    return from_jumps(moved(plus, ends) + moved(minus, ends[1:]), p.scalars)
 
 
 def _tolerance(scalars: Backend, tol) -> Scalar:

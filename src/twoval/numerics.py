@@ -11,9 +11,10 @@ Two backends share one algebra:
 
 One rule puts a scalar on a backend, and :class:`Backend` is the only place
 that states it.  ``Fraction`` and :class:`Surd` are exact, floats are float,
-and ints are neutral literals that join either backend.  A bool is not a
-scalar, and neither is text (``TypeError``; :func:`parse_scalar` reads
-text).  Exact mixed with float raises :class:`MixedBackendError`; two surds
+and ints are neutral literals that join either backend, subclasses
+included.  Nothing else is a scalar (``TypeError``): not a bool, text
+(:func:`parse_scalar` reads it), a ``Decimal`` or a numpy ``float32``.
+Exact mixed with float raises :class:`MixedBackendError`; two surds
 over distinct irrational radicands raise :class:`MixedRadicandError`.
 Conversion is always explicit (``float(x)``).  Each backend also fixes its
 0, its 1, the default tolerance of a verdict (0 exact, 1e-10 float) and its
@@ -77,8 +78,10 @@ class Surd:
     into ``q1`` (``sqrt(8)`` becomes ``2*sqrt(2)``), and a vanishing ``q1``
     forces ``d == 1``.  The canonical triple makes equality and hashing
     structural.  Arithmetic on canonical operands yields canonical results,
-    so it builds them with :meth:`_make`, which skips that work, and on
-    two rationals (``d == 1``) it does plain ``Fraction`` arithmetic.
+    so it builds them with :meth:`_make`, which skips that work.  A rational
+    (``d == 1``) factor or nonzero divisor scales each coefficient, in two
+    ``Fraction`` operations (one if both are rational); only two irrational
+    operands, or a sum with one, take the general formula.
     """
 
     __slots__ = ("q0", "q1", "d")
@@ -195,8 +198,10 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.d == 1 and o.d == 1:
-            return Surd._make(self.q0 * o.q0, _ZERO, 1)
+        if o.d == 1:
+            return Surd._make(self.q0 * o.q0, self.q1 * o.q0 if self.d != 1 else _ZERO, self.d)
+        if self.d == 1:
+            return Surd._make(self.q0 * o.q0, self.q0 * o.q1, o.d)
         d = self._common_d(o)
         return Surd._make(self.q0 * o.q0 + self.q1 * o.q1 * d, self.q0 * o.q1 + self.q1 * o.q0, d)
 
@@ -206,8 +211,8 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.d == 1 and o.d == 1 and o.q0:
-            return Surd._make(self.q0 / o.q0, _ZERO, 1)
+        if o.d == 1 and o.q0:
+            return Surd._make(self.q0 / o.q0, self.q1 / o.q0 if self.d != 1 else _ZERO, self.d)
         d = self._common_d(o)
         norm = o.q0 * o.q0 - o.q1 * o.q1 * d
         if norm == 0:
@@ -332,7 +337,7 @@ class Backend:
     snap: Scalar
 
     def __call__(self, x) -> Scalar:
-        if isinstance(x, (bool, str)):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction, Surd, float)):
             raise TypeError(f"{type(x).__name__} is not a scalar")
         if self.is_float:
             if isinstance(x, (Surd, Fraction)):
@@ -340,7 +345,7 @@ class Backend:
             return float(x)
         if isinstance(x, float):
             raise MixedBackendError("float used on the exact backend; convert explicitly")
-        return Surd._coerce(x) if isinstance(x, (Surd, int, Fraction)) else Surd(x)
+        return Surd._coerce(x)
 
 
 EXACT = Backend(False, Surd(0), Surd(1), tol=Surd(0), snap=Surd(0))

@@ -1,12 +1,15 @@
 """One rule puts every scalar on a backend, at each public entry point.
 
-Ints join either backend, neither a bool nor text is a scalar
-(``TypeError``; ``parse_scalar`` reads text), and an exact scalar
-(``Fraction`` or ``Surd``) mixed with a float raises ``MixedBackendError``.
+Ints join either backend, and an exact scalar (``Fraction`` or ``Surd``)
+mixed with a float raises ``MixedBackendError``.  Nothing else is a scalar:
+a bool, text (``parse_scalar`` reads it), a ``Decimal`` or a numpy
+``float32`` raises ``TypeError`` on both backends.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twoval.criterion import check_invariance_conditions, solve_alpha1
@@ -133,3 +136,46 @@ def test_the_rule_itself():
                 backend(text)
             assert info.type is TypeError
     assert (EXACT.tol, EXACT.snap, FLOAT.tol, FLOAT.snap) == (0, 0, 1e-10, 1e-12)
+
+
+#: numbers of other types: neither backend reads them, however exactly they could be
+OTHER_NUMBERS = [Decimal("0.1"), np.float32(0.5), np.int64(1)]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("x", OTHER_NUMBERS, ids=lambda x: type(x).__name__)
+def test_other_numbers_are_not_scalars(backend, x):
+    with pytest.raises(TypeError, match=rf"^{type(x).__name__} is not a scalar$") as info:
+        backend(x)
+    assert info.type is TypeError
+
+
+@pytest.mark.parametrize(
+    "breakpoints, values",
+    [
+        ([0, Decimal("0.5"), 1], [1, 2]),
+        ([0, Decimal("0.5"), 1], [1.0, 2.0]),
+        ([0, H, 1], [1, Decimal("0.5")]),
+        ([0.0, 0.5, 1.0], [1.0, Decimal("0.5")]),
+    ],
+)
+def test_step_function_with_a_decimal_entry_raises(breakpoints, values):
+    with pytest.raises(TypeError, match="^Decimal is not a scalar$") as info:
+        StepFunction(breakpoints, values)
+    assert info.type is TypeError
+
+
+def test_subclasses_of_the_scalar_types_are_scalars():
+    class Whole(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    assert EXACT(Whole(2)) == 2 and FLOAT(Whole(2)) == 2.0
+    assert EXACT(Ratio(1, 3)) == Fraction(1, 3)
+    assert type(FLOAT(np.float64(0.5))) is float and FLOAT(np.float64(0.5)) == 0.5
+    with pytest.raises(MixedBackendError):
+        EXACT(np.float64(0.5))
+    with pytest.raises(MixedBackendError):
+        FLOAT(Ratio(1, 3))

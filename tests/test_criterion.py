@@ -17,6 +17,7 @@ from conftest import (
     jump_form_systems,
     make_exact_step,
     make_exact_system,
+    make_float_system,
     make_fraction_grid,
 )
 from test_system import GOLDEN_A, golden_system
@@ -29,9 +30,9 @@ from twoval.criterion import (
     invariance_defect,
     solve_alpha1,
 )
-from twoval.families import lebesgue_family, nonconstant_family
+from twoval.families import lebesgue_family, nonconstant_family, renyi_system
 from twoval.numerics import Interval, Surd
-from twoval.piecewise import StepFunction, combine
+from twoval.piecewise import StepFunction, combine, from_jumps
 from twoval.system import EquippedSystem, as_float_system, derive_n, pushforward_density
 
 
@@ -145,6 +146,16 @@ class TestLargeN:
         assert invariance_defect(shifted).sup_norm() != 0
 
 
+def _translate_jumps_below_one(system: EquippedSystem) -> int:
+    """How many translate jumps of S land below 1 (below 1 + snap on floats),
+    each placed and compared on its own."""
+    a, n, p = system.a, system.n, system.density
+    top = 1 + p.scalars.snap
+    places = [t + k * a for t, _ in p.jumps() for k in range(n + 1)]
+    places += [t * (1 - a) + k * a for t, _ in p.jumps() for k in range(1, n + 1)]
+    return sum(x < top for x in places)
+
+
 class TestLinearCost:
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_translates_linear_in_n(self, n, monkeypatch):
@@ -163,6 +174,7 @@ class TestLinearCost:
 
         def counted_jumps(js, scalars):
             jumps.append(len(js))
+            assert scalars.is_float or all(t < 1 for t, _ in js)
             return sum_jumps(js, scalars)
 
         def counted_init(self, *args):
@@ -178,14 +190,15 @@ class TestLinearCost:
         monkeypatch.setattr(StepFunction, "__init__", counted_init)
         monkeypatch.setattr(Surd, "__add__", counted_add)
         for system in (lebesgue_family(n), as_float_system(lebesgue_family(n))):
-            # one translate sum of the 2n+1 translates' jumps for all three families
-            jump_cap = (2 * n + 1) * (len(system.density.values) + 1)
+            # one translate sum for all three families, of the 2n+1 translates' jumps below 1
+            jump_cap = _translate_jumps_below_one(system)
+            assert jump_cap < (2 * n + 1) * (len(system.density.values) + 1)
             add_cap = 16 * (n + 1) * (len(system.density.values) + 1)
             for counters in (calls, jumps, builds, adds):
                 counters.clear()
             check_invariance_conditions(system)
             assert calls == []
-            assert len(jumps) == 1 and jumps[0] <= jump_cap
+            assert jumps == [jump_cap]
             # S only, each window read on the cells of S or of alpha1, p and S there
             assert len(builds) <= 1
             assert len(adds) <= add_cap
@@ -193,7 +206,7 @@ class TestLinearCost:
                 counters.clear()
             solve_alpha1(system.a, system.density)
             assert calls == []
-            assert len(jumps) == 1 and jumps[0] <= jump_cap
+            assert jumps == [jump_cap]
             # S, then alpha1 from the cells of S and p on [a, 1-a)
             assert len(builds) <= 2
             assert len(adds) <= add_cap
@@ -247,6 +260,47 @@ class TestJumpForm:
             with monkeypatch.context() as m:
                 m.setattr(criterion, "_identity", _identity_by_grid)
                 assert statuses == _statuses(s)
+
+
+def _identity_unpruned(a, n: int, p: StepFunction) -> StepFunction:
+    """S from all (2n+1) translates of every jump of p, those landing at 1 or
+    beyond among them, which from_jumps drops."""
+    w = 1 - a
+    plus = p.jumps()
+    minus = [(t * w, -v / w) for t, v in plus]
+    shifts = [k * a for k in range(n + 1)]
+    jumps = [(t + s, v) for s in shifts for t, v in plus] + [(t + s, v) for s in shifts[1:] for t, v in minus]
+    return from_jumps(jumps, p.scalars)
+
+
+def _pruning_systems() -> list:
+    """Every family with n <= 101, Renyi's and the jump-form cases, each with
+    its float copy, and seeded float systems at random a."""
+    exact = [f(n) for n in range(2, 102) for f in (lebesgue_family, lambda n: nonconstant_family(n, 2, 3))]
+    exact += [nonconstant_family(n, 0, 1) for n in (2, 5, 13)] + [nonconstant_family(n, 1, 0) for n in (2, 5, 13)]
+    exact += [renyi_system()] + [s for case in JUMP_FORM_CASES for s in jump_form_systems(case)]
+    rng = random.Random("pruned")
+    return exact + [as_float_system(s) for s in exact] + [make_float_system(rng) for _ in range(200)]
+
+
+class TestPrunedIdentity:
+    """S is built only from the translate jumps that land below 1 + snap; it
+    equals S from all of them, on both backends."""
+
+    def test_equals_unpruned_sum(self):
+        for s in _pruning_systems():
+            assert _identity(s.a, s.n, s.density) == _identity_unpruned(s.a, s.n, s.density), s
+
+    @pytest.mark.parametrize(
+        "density",
+        [StepFunction.constant(1.7e308), StepFunction([0.0, 0.5, 1.0], [1.0, 1.7e308])],
+        ids=["constant", "step"],
+    )
+    def test_non_finite_sizes_cut_alike(self, density):
+        # at a = 1/2 the minus sizes overflow, and S is NaN from the first of them on
+        for a in (0.5, 0.26, 1 / 3):
+            pruned, unpruned = _identity(a, derive_n(a), density), _identity_unpruned(a, derive_n(a), density)
+            assert "nan" in repr(pruned) and repr(pruned) == repr(unpruned)
 
 
 def _checks_by_masks(system: EquippedSystem) -> list:

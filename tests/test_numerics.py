@@ -167,6 +167,90 @@ class TestTrustedConstructor:
         assert z == Surd(999_999_999_990, 2, 999_999_999_989)
 
 
+def _general_product(x: Surd, y: Surd) -> Surd:
+    """x*y by the general Q(sqrt d) formula, whatever the operands' kinds."""
+    d = x.d if y.d == 1 else y.d
+    return Surd(x.q0 * y.q0 + x.q1 * y.q1 * d, x.q0 * y.q1 + x.q1 * y.q0, d)
+
+
+def _general_quotient(x: Surd, y: Surd) -> Surd:
+    """x/y by the general formula: times the conjugate of y, over its norm."""
+    d = x.d if y.d == 1 else y.d
+    norm = y.q0 * y.q0 - y.q1 * y.q1 * d
+    return Surd((x.q0 * y.q0 - x.q1 * y.q1 * d) / norm, (x.q1 * y.q0 - x.q0 * y.q1) / norm, d)
+
+
+def _mixed_rational(rng: random.Random) -> Fraction:
+    """0, a small rational, or one of 60-digit numerator and denominator, of either sign."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(0)
+    size = 10**60 if kind == 2 else 99
+    return Fraction(rng.choice((-1, 1)) * rng.randint(size // 10, size), rng.randint(size // 10, size))
+
+
+class TestMixedPaths:
+    """A product with a rational factor and a quotient by a nonzero rational
+    scale both coefficients; they equal the general formula, kept here, and
+    sympy, and never compare radicands."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 6])
+    def test_match_general_formula_and_sympy(self, d):
+        sympy = pytest.importorskip("sympy")
+
+        def sym(x):
+            x = EXACT(x)
+            q0, q1 = (sympy.Rational(q.numerator, q.denominator) for q in (x.q0, x.q1))
+            return q0 + q1 * sympy.sqrt(x.d)
+
+        rng = random.Random(f"mixed-{d}")
+        for _ in range(40):
+            x = Surd(_mixed_rational(rng), _mixed_rational(rng) or 1, d)
+            r = _mixed_rational(rng)
+            k = rng.choice((0, -1, 3, rng.randint(-(10**60), 10**60)))
+            cases = [(x * r, x, r, _general_product), (r * x, r, x, _general_product)]
+            cases += [(x * Surd(r), x, r, _general_product), (Surd(r) * x, r, x, _general_product)]
+            cases += [(k * x, k, x, _general_product), (x * k, x, k, _general_product)]
+            if r:
+                cases += [(x / r, x, r, _general_quotient), (x / Surd(r), x, r, _general_quotient)]
+            for got, u, v, general in cases:
+                assert got == general(EXACT(u), EXACT(v)), (u, v)
+                rebuilt = Surd(got.q0, got.q1, got.d)  # canonical: d == 1 where q1 vanishes
+                assert (got.q0, got.q1, got.d) == (rebuilt.q0, rebuilt.q1, rebuilt.d)
+                oracle = sym(u) * sym(v) if general is _general_product else sym(u) / sym(v)
+                assert sympy.expand(sym(got) - oracle) == 0, (u, v)
+
+    def test_zero_product_is_rational(self):
+        x = Surd(Fraction(1, 3), Fraction(2, 7), 5)
+        for z in (x * 0, 0 * x, x * Fraction(0), Surd(0) * x):
+            assert z == 0 and (z.q1, z.d) == (0, 1)
+
+    def test_zero_divisor_and_mixed_radicands_still_raise(self):
+        x = Surd(Fraction(1, 3), Fraction(2, 7), 5)
+        for zero in (0, Fraction(0), Surd(0)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+            with pytest.raises(ZeroDivisionError):
+                Surd(Fraction(2, 3)) / zero
+        with pytest.raises(MixedRadicandError):
+            Surd(0, 1, 2) * Surd(0, 1, 3)
+        with pytest.raises(MixedRadicandError):
+            Surd(0, 1, 2) / Surd(1, 1, 3)
+
+    def test_mixed_paths_never_compare_radicands(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("_common_d reached")
+
+        x = Surd(Fraction(-5, 3), Fraction(2, 7), 5)
+        r = Fraction(-11, 13)
+        monkeypatch.setattr(Surd, "_common_d", refuse)
+        for got in (x * r, r * x, 3 * x, x * 3, x * Surd(r), Surd(r) * x, x / r, x / Surd(r), x / -2):
+            assert got.d == 5
+        assert Surd(r) * Surd(r) == r * r and Surd(r) / 2 == r / 2
+        with pytest.raises(AssertionError, match="_common_d reached"):
+            x * x  # the patch is in force
+
+
 class TestComparisons:
     def test_cross_multiplication_oracle(self):
         # (3 - sqrt(5))/2 > 1/3 iff 7 > 3*sqrt(5) iff 49 > 45
