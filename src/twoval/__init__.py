@@ -66,26 +66,11 @@ from .system import (
 
 __version__ = "0.1.0"
 
-#: names from the Monte Carlo module, which needs numpy: resolved on first
-#: use, so that importing the package or the exact commands does not load it
-_SIMULATE_NAMES = frozenset(
-    {
-        "ChainReport",
-        "HistogramReport",
-        "OneStepReport",
-        "SampleSet",
-        "histogram_report",
-        "one_step_stationarity_test",
-        "read_sample_file",
-        "run_chain",
-        "sample_from_density",
-        "write_sample_file",
-    }
-)
-
 
 def __getattr__(name):
-    if name in _SIMULATE_NAMES:
+    # __all__ names the imports above leave unbound are the Monte Carlo module's: it needs numpy,
+    # so they load on first use, and importing the package or the exact commands does not load it
+    if name in __all__:
         from . import simulate
 
         return getattr(simulate, name)

@@ -282,23 +282,24 @@ class Surd:
 
     # -- conversions -----------------------------------------------------
 
+    def _integers(self) -> tuple[int, int, int]:
+        """Integers (u, c, den), den > 0, with self == (u + c*sqrt(d))/den; c == 0 for a rational."""
+        q0, q1 = self.q0, self.q1
+        return q0.numerator * q1.denominator, q1.numerator * q0.denominator, q0.denominator * q1.denominator
+
     def __float__(self):
         if not self.q1:
             return float(self.q0)
-        # self = (a + c*sqrt(d))/den in integers.  r = isqrt(d*4^k) puts
-        # sqrt(d) strictly between r/2^k and (r+1)/2^k, so self lies strictly
-        # between lo/(den*2^k) and (lo+c)/(den*2^k).  Rounding is monotone:
-        # once both bounds round to one double, self does too.  a*a - c*c*d is
-        # a nonzero integer, so |a + c*sqrt(d)| >= 1/(|a| + |c|*sqrt(d)) and
-        # the first k usually suffices even under cancellation; self is
-        # irrational, so doubling k ends.
-        q0, q1, d = self.q0, self.q1, self.d
-        a = q0.numerator * q1.denominator
-        c = q1.numerator * q0.denominator
-        den = q0.denominator * q1.denominator
-        k = 64 + c.bit_length() + max(a.bit_length(), c.bit_length() + d.bit_length())
+        # self = (u + c*sqrt(d))/den.  r = isqrt(d*4^k) puts sqrt(d) strictly between r/2^k and
+        # (r+1)/2^k, so self lies strictly between lo/(den*2^k) and (lo+c)/(den*2^k).  Rounding is
+        # monotone: once both bounds round to one double, self does too.  u*u - c*c*d is a nonzero
+        # integer, so |u + c*sqrt(d)| >= 1/(|u| + |c|*sqrt(d)) and the first k usually suffices even
+        # under cancellation; self is irrational, so doubling k ends.
+        u, c, den = self._integers()
+        d = self.d
+        k = 64 + c.bit_length() + max(u.bit_length(), c.bit_length() + d.bit_length())
         while True:
-            lo = (a << k) + c * math.isqrt(d << (2 * k))
+            lo = (u << k) + c * math.isqrt(d << (2 * k))
             x = lo / (den << k)
             if x == (lo + c) / (den << k):
                 return x

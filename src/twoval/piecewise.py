@@ -362,15 +362,19 @@ def step_to_json_dict(f: StepFunction) -> dict:
     }
 
 
-def step_from_json_dict(d: dict) -> StepFunction:
+def _json_fields(d, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``d``, in order; a ParseError names ``what`` otherwise."""
+    names = "/".join(keys)
     if not isinstance(d, dict):
-        raise ParseError("step function JSON must be an object with keys breakpoints/values/backend")
+        raise ParseError(f"{what} JSON must be an object with keys {names}")
     try:
-        backend = d["backend"]
-        raw_bps = d["breakpoints"]
-        raw_vals = d["values"]
+        return [d[k] for k in keys]
     except KeyError as exc:
-        raise ParseError(f"step function JSON needs breakpoints/values/backend: {exc}") from exc
+        raise ParseError(f"{what} JSON needs {names}: {exc}") from exc
+
+
+def step_from_json_dict(d: dict) -> StepFunction:
+    raw_bps, raw_vals, backend = _json_fields(d, "step function", "breakpoints", "values", "backend")
     if not isinstance(raw_bps, list) or not isinstance(raw_vals, list):
         raise ParseError("breakpoints and values must be arrays")
 

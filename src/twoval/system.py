@@ -36,7 +36,7 @@ from .numerics import (
     parse_scalar,
     read_json,
 )
-from .piecewise import StepFunction, cells, from_jumps, step_from_json_dict, step_to_json_dict
+from .piecewise import StepFunction, _json_fields, cells, from_jumps, step_from_json_dict, step_to_json_dict
 
 
 #: the largest n the families and the criterion take; lebesgue_family(_MAX_N) checks in about a second
@@ -50,10 +50,9 @@ def derive_n(a) -> int:
     # a = (u + c*sqrt(d))/den in integers, with c = 0 for a rational or a float (read exactly), so
     # 1/a = sg*den*(u - c*sqrt(d))/|N|, N = u*u - c*c*d, sg = sign(N).  -sg*den*c*sqrt(d) is 0 or
     # irrational: its floor is r = isqrt(its square) if it is nonnegative, else -r - 1.
-    q0, q1, d = (a.q0, a.q1, a.d) if isinstance(a, Surd) else (Fraction(a), Fraction(0), 1)
-    u = q0.numerator * q1.denominator
-    c = q1.numerator * q0.denominator
-    den = q0.denominator * q1.denominator
+    a = a if isinstance(a, Surd) else Surd._coerce(Fraction(a))
+    u, c, den = a._integers()
+    d = a.d
     norm = u * u - c * c * d
     sg = 1 if norm > 0 else -1
     r = math.isqrt(den * den * c * c * d)
@@ -208,14 +207,7 @@ def parameter_from_json(raw) -> Scalar:
 
 
 def system_from_json_dict(d: dict) -> EquippedSystem:
-    if not isinstance(d, dict):
-        raise ParseError("system JSON must be an object with keys a/p/alpha1")
-    try:
-        raw_a = d["a"]
-        raw_p = d["p"]
-        raw_alpha = d["alpha1"]
-    except KeyError as exc:
-        raise ParseError(f"system JSON needs a/p/alpha1: {exc}") from exc
+    raw_a, raw_p, raw_alpha = _json_fields(d, "system", "a", "p", "alpha1")
     a = parameter_from_json(raw_a)
     density = step_from_json_dict(raw_p)
     alpha1 = step_from_json_dict(raw_alpha)

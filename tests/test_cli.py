@@ -192,6 +192,29 @@ class TestCheck:
             "parse error: step function JSON must be an object with keys breakpoints/values/backend\n"
         )
 
+    @pytest.mark.parametrize(
+        ("obj", "missing", "message"),
+        [
+            ("p", ["values"], "step function JSON needs breakpoints/values/backend: 'values'"),
+            ("p", ["backend"], "step function JSON needs breakpoints/values/backend: 'backend'"),
+            # the keys are read in the order the message lists them, so the first one missing is named
+            ("p", ["backend", "breakpoints"], "step function JSON needs breakpoints/values/backend: 'breakpoints'"),
+            ("system", ["alpha1"], "system JSON needs a/p/alpha1: 'alpha1'"),
+            ("system", ["p", "a"], "system JSON needs a/p/alpha1: 'a'"),
+        ],
+        ids=["values", "backend", "backend-and-breakpoints", "alpha1", "p-and-a"],
+    )
+    def test_missing_key_is_parse_error(self, tmp_path, capsys, obj, missing, message):
+        d = system_to_json_dict(lebesgue_family(3))
+        for key in missing:
+            del (d if obj == "system" else d[obj])[key]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
+
 
 class TestParameterCap:
     """check and solve-alpha build 2n+1 translates, so n = derive_n(a) is capped
@@ -619,6 +642,12 @@ class TestExpand:
         assert word == "100"
         assert value == "1/2"
 
+    def test_nonpositive_budget_exits_two(self, capsys):
+        assert main(["expand", "--x", "1/2", "--beta", "2", "--all", "--max-words", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_words must be positive\n"
+
     def test_budget_exceeded_exits_one(self, capsys):
         code = main([
             "expand", "--all",
@@ -745,6 +774,16 @@ class TestDigitLimit:
         assert len(captured.err.splitlines()) == 1
         assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
         assert "sys." not in captured.err
+
+    def test_backend_tag_past_the_limit(self, tmp_path, capsys):
+        d = system_to_json_dict(lebesgue_family(3))
+        d["p"]["backend"] = "exact-" + "1" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: bad backend tag {'exact-' + '1' * 34 + '…'!r}\n"
 
     def test_integers_at_the_limit_still_parse(self):
         digits = "7" * sys.get_int_max_str_digits()
@@ -963,11 +1002,14 @@ class TestEntryPoints:
                 assert entry.value == _project()["scripts"]["twoval"]
 
     def test_exact_commands_do_not_load_numpy(self):
+        # the Monte Carlo names of __all__ are left unbound by the import and load on first use
         code = (
-            "import sys, twoval.cli\n"
+            "import sys, twoval.cli, twoval\n"
             "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
-            "import twoval\n"
-            "assert twoval.run_chain is twoval.simulate.run_chain\n"
+            f"assert [n for n in twoval.__all__ if n not in vars(twoval)] == {SIMULATE_NAMES!r}\n"
+            "assert not hasattr(twoval, 'no_such_name') and 'numpy' not in sys.modules\n"
+            f"for name in {SIMULATE_NAMES!r}:\n"
+            "    assert getattr(twoval, name) is getattr(twoval.simulate, name), name\n"
             "assert 'numpy' in sys.modules\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
@@ -977,6 +1019,21 @@ class TestEntryPoints:
         assert twoval.__version__ == _project()["version"]
         for name in twoval.__all__:
             getattr(twoval, name)  # a stale export raises AttributeError
+
+
+#: the names of ``twoval.__all__`` that ``twoval.simulate``, which needs numpy, supplies
+SIMULATE_NAMES = [
+    "ChainReport",
+    "HistogramReport",
+    "OneStepReport",
+    "SampleSet",
+    "histogram_report",
+    "one_step_stationarity_test",
+    "read_sample_file",
+    "run_chain",
+    "sample_from_density",
+    "write_sample_file",
+]
 
 
 def _project():

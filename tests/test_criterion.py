@@ -536,6 +536,10 @@ class TestSolveAlpha1:
         with pytest.raises(ValueError):
             solve_alpha1(Fraction(1, 2), StepFunction.constant(1), fill=2)
 
+    def test_density_must_be_a_step_function(self):
+        with pytest.raises(TypeError, match="density must be a step function"):
+            solve_alpha1(Fraction(1, 3), 1)
+
 
 class TestRangeGuard:
     """The division step must reject forced weights outside [0, p]."""

@@ -369,6 +369,11 @@ class TestEnumerate:
         with pytest.raises(BudgetExceededError):
             enumerate_expansions(Fraction(1, 2), PHI, 8, max_words=1)
 
+    @pytest.mark.parametrize("max_words", [0, -1])
+    def test_budget_must_be_positive(self, max_words):
+        with pytest.raises(ValueError, match="max_words must be positive"):
+            enumerate_expansions(Fraction(1, 2), PHI, 8, max_words=max_words)
+
     def test_rejects_unrepresentable_points(self):
         with pytest.raises(ValueError):
             enumerate_expansions(Fraction(17, 10), PHI, 4)

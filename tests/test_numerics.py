@@ -706,18 +706,20 @@ class TestValueContract:
             dataclasses.replace(system, alpha1=StepFunction.constant(2))
         assert dataclasses.replace(system, a=system.a) == system
 
-    @pytest.mark.parametrize("other", ["x", None, object()], ids=["str", "None", "object"])
+    @pytest.mark.parametrize("other", ["x", None, object(), True], ids=["str", "None", "object", "bool"])
     def test_foreign_operand(self, other):
-        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add, operator.truediv):
             with pytest.raises(TypeError):
                 op(GOLDEN_A, other)
             with pytest.raises(TypeError):
                 op(other, GOLDEN_A)
         with pytest.raises(TypeError):
             other - GOLDEN_A
-        with pytest.raises(TypeError):
-            other / GOLDEN_A
         assert (GOLDEN_A == other) is False and (other == GOLDEN_A) is False
+
+    def test_non_integer_power(self):
+        with pytest.raises(TypeError):
+            Surd(1) ** 0.5
 
     def test_step_function_operand_is_deferred_to(self):
         f = StepFunction([0, Fraction(1, 2), 1], [1, 3])

@@ -136,6 +136,10 @@ class TestHistogramReport:
         with pytest.raises(ValueError):
             histogram_report(np.array([0.5]), UNIFORM, bins=0)
 
+    def test_rejects_zero_mass_reference(self):
+        with pytest.raises(ZeroMassError, match="reference density has no mass"):
+            histogram_report(np.array([0.5]), StepFunction.constant(0.0))
+
 
 class TestOneStep:
     def test_invariant_density_stays_put(self):
