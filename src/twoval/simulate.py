@@ -9,10 +9,18 @@ to itself; the gap scales like sqrt(bins / n_samples).
 All randomness flows through a counter-based Philox generator keyed by
 (seed, stream), so runs are reproducible and independent streams are
 cheap to construct.
+
+The sampler, the chain step and the reports walk the points in fixed
+blocks of 65,536 (``_blocks``).  Draws and coins come block by block from
+the one stream, which gives the same numbers as one large draw, so the
+output does not depend on the block size.  A chain holds its n points
+and, for a report, one sorted copy: about 16n bytes plus a few MB of
+per-block temporaries.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +30,15 @@ from .system import EquippedSystem, as_float_system
 
 #: the longest chain run_chain takes; at 10^4 samples that many steps run 4-8 min on a 2-vCPU Xeon
 _MAX_STEPS = 10**6
+
+#: points per block, the block np.histogram sorts at a time: the kernels
+#: work block by block, so their temporaries take a fixed few MB at any n
+_BLOCK = 65536
+
+
+def _blocks(n: int):
+    """The slices of range(n), in order, of _BLOCK points each but the last."""
+    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -75,16 +92,19 @@ def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) ->
         raise ZeroMassError("density has no mass to sample from")
     cum = np.cumsum(masses) / total
     cum[-1] = 1.0
-    u = rng.random(n)
-    idx = _count_le(cum, u)
     prev = np.concatenate(([0.0], cum[:-1]))
-    # bps + (u - prev) / (masses / total) * widths at each draw's piece, one
-    # operation at a time in place: the same roundings, one buffer fewer
-    u -= prev[idx]
-    u /= (masses / total)[idx]
-    u *= widths[idx]
-    u += bps[idx]
-    return np.clip(u, 0.0, 1.0, out=u)
+    x = np.empty(n)
+    for s in _blocks(n):  # Philox draws in blocks concatenate to the one large draw
+        u = rng.random(out=x[s])
+        idx = _count_le(cum, u)
+        # bps + (u - prev) / (masses / total) * widths at each draw's piece, one
+        # operation at a time in place: the same roundings, one buffer fewer
+        u -= prev[idx]
+        u /= (masses / total)[idx]
+        u *= widths[idx]
+        u += bps[idx]
+        np.clip(u, 0.0, 1.0, out=u)
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +173,6 @@ def _binned_l1(counts: np.ndarray, n: int, ref: np.ndarray) -> tuple[np.ndarray,
     return emp, float(np.abs(emp - ref).sum())
 
 
-def _ks_statistic(f: np.ndarray) -> float:
-    """sup |F_n - F| from F at the ascending sample; F_n steps by 1/n."""
-    n = len(f)
-    after = np.arange(1, n + 1, dtype=np.float64)
-    after /= n  # F_n just after the i-th smallest value, i/n; (i - 1)/n is its predecessor
-    d_minus = (f[1:] - after[:-1]).max(initial=f[0])  # f[0] - 0/n is f[0]
-    d_plus = np.subtract(after, f, out=after).max()
-    return float(max(d_plus, d_minus))
-
-
 def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 100) -> HistogramReport:
     """Bin the values on a uniform grid and measure the gap to the reference.
 
@@ -183,12 +193,21 @@ def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 10
     # np.histogram's counts off the sorted values: bins [e_i, e_i+1), the last closed
     below = np.append(np.searchsorted(xs, edges[:-1]), np.searchsorted(xs, edges[-1], side="right"))
     emp, l1 = _binned_l1(np.diff(below), n, ref)
+    # KS = sup |F_n - F| over the sorted values, with F taken in place: F_n
+    # steps from (i - 1)/n to i/n at the i-th smallest value
+    d_minus = d_plus = -np.inf
+    for s in _blocks(n):
+        f = cdf(xs[s], out=xs[s])
+        fn = np.arange(s.start, s.stop + 1, dtype=np.float64)
+        fn /= n
+        d_minus = (f - fn[:-1]).max(initial=d_minus)
+        d_plus = (fn[1:] - f).max(initial=d_plus)
     return HistogramReport(
         bin_edges=edges,
         bin_masses=emp,
         reference_masses=ref,
         l1_distance_to_reference=l1,
-        ks_statistic=_ks_statistic(cdf(xs, out=xs)),
+        ks_statistic=float(max(d_plus, d_minus)),
     )
 
 
@@ -300,13 +319,17 @@ def run_chain(
     distances = []
     start = report = histogram_report(x, fs.density, bins)
     for step in range(n_steps):
-        x = _advance(x, fs, rng.random(n_samples))  # the coins are freed before any report
-        if step < n_steps - 1:  # only the L1 figure of an intermediate step is kept
-            counts = np.histogram(x, bins=start.bin_edges)[0]
-            distances.append(_binned_l1(counts, n_samples, start.reference_masses)[1])
-        else:
+        last = step == n_steps - 1
+        counts = 0  # only the L1 figure of an intermediate step is kept
+        for s in _blocks(n_samples):  # each block draws its coins and steps in place
+            x[s] = _advance(x[s], fs, rng.random(s.stop - s.start))
+            if not last:
+                counts = counts + np.histogram(x[s], bins=start.bin_edges)[0]
+        if last:
             report = histogram_report(x, fs.density, bins)
             distances.append(report.l1_distance_to_reference)
+        else:
+            distances.append(_binned_l1(counts, n_samples, start.reference_masses)[1])
     return ChainReport(
         step_distances=distances,
         initial=start,
@@ -323,7 +346,7 @@ def write_sample_file(path, values) -> None:
     arr = np.ascontiguousarray(np.asarray(values, dtype="<f8"))
     with open(path, "wb") as fh:
         fh.write(len(arr).to_bytes(8, "little"))
-        fh.write(arr.tobytes())
+        fh.write(arr)  # from the array's own buffer, not a bytes copy
 
 
 def read_sample_file(path) -> np.ndarray:
@@ -332,7 +355,8 @@ def read_sample_file(path) -> np.ndarray:
         if len(head) != 8:
             raise ValueError("sample file is truncated: missing count header")
         n = int.from_bytes(head, "little")
-        payload = fh.read()
-    if len(payload) != 8 * n:
-        raise ValueError(f"sample file payload does not match count {n}")
-    return np.frombuffer(payload, dtype="<f8").copy()
+        # read into one array, sized by the file so a corrupt count allocates nothing
+        values = np.empty(min(n, os.fstat(fh.fileno()).st_size // 8), dtype="<f8")
+        if fh.readinto(values) != 8 * n or fh.read(1):
+            raise ValueError(f"sample file payload does not match count {n}")
+    return values

@@ -260,13 +260,26 @@ class TestSampleFile:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample file is truncated: missing count header"):
             read_sample_file(path)
 
     def test_short_payload_rejected(self, tmp_path):
         path = tmp_path / "short.bin"
         path.write_bytes((3).to_bytes(8, "little") + b"\x00" * 16)
         with pytest.raises(ValueError):
+            read_sample_file(path)
+
+    @pytest.mark.parametrize("extra", [1, 8])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        path = tmp_path / "long.bin"
+        path.write_bytes((2).to_bytes(8, "little") + b"\x00" * (16 + extra))
+        with pytest.raises(ValueError, match="sample file payload does not match count 2"):
+            read_sample_file(path)
+
+    def test_count_beyond_the_file_rejected(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes((2**62).to_bytes(8, "little") + b"\x00" * 16)
+        with pytest.raises(ValueError, match=f"payload does not match count {2**62}"):
             read_sample_file(path)
 
 
@@ -380,25 +393,63 @@ ORACLE_SYSTEMS = {
 }
 
 
+#: the points per block of the Monte Carlo kernels
+BLOCK = 65_536
+
+
+def assert_chain_matches_reference(fs: EquippedSystem, n: int, max_steps: int):
+    """run_chain at 0..max_steps steps gives the reference draw, points and reports."""
+    rng = ref_rng(19, 3)
+    xs = [ref_sample(fs.density, n, rng)]
+    for _ in range(max_steps):
+        xs.append(ref_advance(xs[-1], fs, rng.random(n)))
+    reports = [ref_histogram(x, fs.density) for x in xs]
+    for steps in range(max_steps + 1):
+        rep = run_chain(fs, n, steps, 19, stream=3)
+        assert rep.final_values.tobytes() == xs[steps].tobytes()
+        assert rep.step_distances == [r[2] for r in reports[1 : steps + 1]]
+        for got, want in ((rep.initial, reports[0]), (rep.final, reports[steps])):
+            assert got.bin_masses.tobytes() == want[0].tobytes()
+            assert got.reference_masses.tobytes() == want[1].tobytes()
+            assert got.l1_distance_to_reference == want[2]
+            assert got.ks_statistic == want[3]
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("n", [10_000, 200_000])
     @pytest.mark.parametrize("tag", list(ORACLE_SYSTEMS))
     def test_run_chain_matches_reference(self, tag, n):
-        fs = as_float_system(ORACLE_SYSTEMS[tag]())
-        rng = ref_rng(19, 3)
-        xs = [ref_sample(fs.density, n, rng)]
-        for _ in range(5):
-            xs.append(ref_advance(xs[-1], fs, rng.random(n)))
-        reports = [ref_histogram(x, fs.density) for x in xs]
-        for steps in range(6):
-            rep = run_chain(fs, n, steps, 19, stream=3)
-            assert rep.final_values.tobytes() == xs[steps].tobytes()
-            assert rep.step_distances == [r[2] for r in reports[1 : steps + 1]]
-            for got, want in ((rep.initial, reports[0]), (rep.final, reports[steps])):
-                assert got.bin_masses.tobytes() == want[0].tobytes()
-                assert got.reference_masses.tobytes() == want[1].tobytes()
-                assert got.l1_distance_to_reference == want[2]
-                assert got.ks_statistic == want[3]
+        assert_chain_matches_reference(as_float_system(ORACLE_SYSTEMS[tag]()), n, 5)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("tag", list(ORACLE_SYSTEMS))
+    def test_run_chain_matches_reference_at_block_edges(self, tag, n):
+        assert_chain_matches_reference(as_float_system(ORACLE_SYSTEMS[tag]()), n, 3)
+
+    @pytest.mark.parametrize(("moved", "shift"), [(BLOCK, 0.4), (BLOCK - 1, -0.4)])
+    def test_ks_sup_on_the_pair_across_a_block_edge(self, moved, shift):
+        # against the uniform F(x) = x, the i-th smallest of (i + 1/2)/n sits
+        # 1/(2n) from both F_n steps; moving the first value of the second
+        # block up makes F - F_n peak on it against the last step of the first
+        # block, 65,536/n; moving the value before it down makes F_n - F peak
+        # there, on the same step
+        n = 2 * BLOCK + 5
+        values = (np.arange(n) + 0.5) / n
+        values[moved] += shift / n
+        got = histogram_report(values, UNIFORM, bins=10)
+        assert got.ks_statistic == ref_histogram(values, UNIFORM, 10)[3]
+        assert got.ks_statistic == pytest.approx(0.9 / n, rel=1e-9)
+
+    @pytest.mark.parametrize("tag", list(ORACLE_SYSTEMS))
+    def test_histogram_report_off_a_block_multiple_and_the_unit_interval(self, tag):
+        density = as_float_system(ORACLE_SYSTEMS[tag]()).density
+        values = np.random.default_rng(6).normal(0.5, 0.6, 2 * BLOCK + 3)
+        values[BLOCK - 1 : BLOCK + 1] = [-0.25, 1.25]
+        got = histogram_report(values, density, bins=13)
+        emp, ref, l1, ks = ref_histogram(values, density, 13)
+        assert got.bin_masses.tobytes() == emp.tobytes()
+        assert got.reference_masses.tobytes() == ref.tobytes()
+        assert (got.l1_distance_to_reference, got.ks_statistic) == (l1, ks)
 
     @pytest.mark.parametrize("tag", list(ORACLE_SYSTEMS))
     def test_histogram_report_matches_reference_off_the_unit_interval(self, tag):
@@ -419,17 +470,45 @@ class TestByteIdentity:
         assert (got.bin_masses.tobytes(), got.ks_statistic) == (emp.tobytes(), ks)
 
 
+def peak_arrays(call, n: int) -> float:
+    """The peak memory that call() allocates, in arrays of n doubles.
+
+    numpy reports its buffers to tracemalloc; what existed before the call
+    is not counted.
+    """
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n)
+
+
 class TestMemory:
-    def test_chain_holds_at_most_six_arrays_of_n(self):
-        # numpy reports its buffers to tracemalloc; the binary-search kernels
-        # peaked at 8 arrays of 8n bytes here
-        n = 200_000
+    # at 10^6 points the per-block temporaries are a small share of an array of n
+
+    N = 10**6
+
+    def test_chain_holds_at_most_two_and_a_half_arrays_of_n(self):
         fs = as_float_system(golden_system())
         run_chain(fs, 1_000, 3, seed=1)
-        tracemalloc.start()
-        try:
-            run_chain(fs, n, 3, seed=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 8 * n
+        # the points and one sorted copy for a report
+        assert peak_arrays(lambda: run_chain(fs, self.N, 3, seed=2), self.N) <= 2.5
+
+    def test_sampler_holds_one_array_of_n(self):
+        density = as_float_system(golden_system()).density
+        sample_from_density(density, 1_000, seed=1)
+        assert peak_arrays(lambda: sample_from_density(density, self.N, seed=2), self.N) <= 1.25
+
+    def test_report_holds_one_sorted_copy(self):
+        density = as_float_system(golden_system()).density
+        values = sample_from_density(density, self.N, seed=3).values
+        histogram_report(values[:1_000], density)
+        assert peak_arrays(lambda: histogram_report(values, density), self.N) <= 2.25
+
+    def test_sample_file_writes_without_a_copy_and_reads_into_one_array(self, tmp_path):
+        values = sample_from_density(UNIFORM, self.N, seed=4).values
+        path = tmp_path / "big.bin"
+        assert peak_arrays(lambda: write_sample_file(path, values), self.N) <= 0.25
+        assert peak_arrays(lambda: read_sample_file(path), self.N) <= 1.25
