@@ -91,7 +91,6 @@ __all__ = [
     "NonpositiveSlopeError",
     "OneStepReport",
     "ParseError",
-    "SampleSet",
     "Scalar",
     "StepFunction",
     "Surd",

@@ -26,7 +26,7 @@ from .criterion import InfeasibleError, check_invariance_conditions, solve_alpha
 from .expansion import BudgetExceededError, enumerate_walk, orbit_walk, value_from_tail
 from .families import lebesgue_family, nonconstant_family, renyi_system
 from .numerics import MixedRadicandError, ParseError, _echo, format_scalar, parse_scalar, read_json
-from .piecewise import step_from_json_dict, step_to_csv, step_to_json
+from .piecewise import _json_fields, step_from_json_dict, step_to_csv, step_to_json
 from .system import parameter_from_json, pushforward_density, system_from_json, system_to_json
 
 
@@ -87,13 +87,8 @@ def cmd_check(args) -> int:
 def cmd_solve_alpha(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         d = read_json(fh.read())
-    if not isinstance(d, dict):
-        raise ParseError(f"{args.input} needs a JSON object with keys 'a' and 'p'")
-    try:
-        a = parameter_from_json(d["a"])
-        density = step_from_json_dict(d["p"])
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc} in {args.input}") from exc
+    raw_a, raw_p = _json_fields(d, "task", "a", "p")
+    a, density = parameter_from_json(raw_a), step_from_json_dict(raw_p)
     fill = _scalar_option("--fill", args.fill, density.is_float)
     tol = _scalar_option("--tol", args.tol, density.is_float)
     system = solve_alpha1(a, density, fill=fill, tol=tol)
@@ -174,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariant densities for weighted two-branch interval maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol_help = "absolute deviation tolerance (default: 0 exact, 1e-10 * sup|p| float)"
 
     p = sub.add_parser("family", help="write a ready-made invariant system as JSON")
     p.add_argument("kind", choices=["lebesgue", "nonconstant", "renyi"])
@@ -186,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="test the invariance conditions of a system")
     p.add_argument("system", help="system JSON file")
-    p.add_argument("--tol", default=None, help="deviation tolerance (default: 0 exact, 1e-10 float)")
+    p.add_argument("--tol", default=None, help=tol_help)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve-alpha", help="solve for branch weights that fix a density")
     p.add_argument("input", help="JSON file with keys 'a' and 'p'")
     p.add_argument("--fill", default="0", help="weight value where it is unconstrained")
-    p.add_argument("--tol", default=None)
+    p.add_argument("--tol", default=None, help=tol_help)
     p.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=cmd_solve_alpha)
 

@@ -38,6 +38,7 @@ Infeasibility is reported with the violated identity and its deviation.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
@@ -115,9 +116,13 @@ def _identity(a, n: int, p: StepFunction) -> StepFunction:
     return from_jumps(moved(plus, ends) + moved(minus, ends[1:]), p.scalars)
 
 
-def _tolerance(scalars: Backend, tol) -> Scalar:
-    """The verdict tolerance on the backend, its default when omitted."""
-    tol = scalars.tol if tol is None else scalars(tol)
+def _tolerance(scalars: Backend, tol, p: StepFunction | None = None) -> Scalar:
+    """The verdict tolerance on the backend, its default when omitted; given
+    p, the float default is relative to sup|p| where that is finite."""
+    if tol is None:
+        sup = max_or_nan([abs(v) for v in p.values]) if p is not None and scalars.is_float else math.inf
+        return scalars.tol * sup if math.isfinite(sup) else scalars.tol
+    tol = scalars(tol)
     if not tol >= scalars.zero:
         raise ValueError(f"tolerance must be >= 0, got {format_scalar(tol)}")
     return tol
@@ -158,11 +163,12 @@ def _checks(a, n: int, s: StepFunction, tol, system: EquippedSystem | None = Non
 def check_invariance_conditions(system: EquippedSystem, tol=None) -> ConditionReport:
     """Evaluate every window identity for the equipped system.
 
-    ``tol`` (>= 0, on the system's backend) defaults to 0 on exact systems
-    and to sup-deviation 1e-10 on float ones.
+    ``tol`` (>= 0, absolute, on the system's backend) defaults to 0 on exact
+    systems and to 1e-10 times sup|p| (1e-10 if not finite) on float ones,
+    as a window's deviation sums translates of p and its rounding scales so.
     """
     a, n = system.a, system.n
-    tol = _tolerance(system.scalars, tol)
+    tol = _tolerance(system.scalars, tol, system.density)
     checks = _checks(a, n, _identity(a, n, system.density), tol, system)
     max_deviation = max_or_nan([c.deviation for c in checks])
     return ConditionReport(n, all(c.passed for c in checks), max_deviation, *checks[:2], tuple(checks[2:]))
@@ -177,9 +183,12 @@ def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol
     """Divide the forced weight by p on [a, 1-a), cell by cell of the two;
     use fill elsewhere.  Raises InfeasibleError("range", ...) where the
     forced alpha1 would leave [0,1], or p vanishes but not the target.
+    ``tol`` is solve_alpha1's; its float default scales with p only where
+    p vanishes, as the ratio has no units.
     """
     b = density.scalars
     fill = check_fill(fill, b)
+    tol, ratio_tol = _tolerance(b, tol, density), _tolerance(b, tol)
     zero, one = b.zero, b.one
 
     def rule(tv, pv):
@@ -189,7 +198,7 @@ def _alpha_from_target(a, density: StepFunction, target: StepFunction, fill, tol
             return fill
         r = tv / pv
         # written so that a NaN ratio fails too
-        if not -tol <= r <= 1 + tol:
+        if not -ratio_tol <= r <= 1 + ratio_tol:
             raise InfeasibleError(RANGE, max(-r, r - 1))
         return min(max(r, zero), one)
 
@@ -203,15 +212,15 @@ def solve_alpha1(a, density: StepFunction, *, fill=0, tol=None) -> EquippedSyste
     The two density identities must already hold for p; on [a, 1-a) the
     weight identity determines A1 = alpha1*p window by window, and alpha1
     is set to ``fill`` where it is unconstrained.  The result passes
-    :func:`check_invariance_conditions` by construction.
+    :func:`check_invariance_conditions` by construction, under the same ``tol``.
     """
     if not isinstance(density, StepFunction):
         raise TypeError("density must be a step function")
     a = density.scalars(a)
     n = derive_n(a)
-    tol = _tolerance(density.scalars, tol)
+    density_tol = _tolerance(density.scalars, tol, density)
     s = _identity(a, n, density)
-    for check in _checks(a, n, s, tol):  # full, then short
+    for check in _checks(a, n, s, density_tol):  # full, then short
         if not check.passed:
             raise InfeasibleError(check.name, check.deviation)
     return EquippedSystem(a, density, _alpha_from_target(a, density, s, fill, tol))

@@ -326,9 +326,9 @@ Scalar = Union[Surd, float]
 class Backend:
     """One scalar backend: its 0 and 1, its tolerances, and the coercion rule.
 
-    ``tol`` is the default sup-deviation a verdict forgives and ``snap`` the
-    distance below which two computed points are one.  Calling a backend
-    puts a scalar on it.
+    ``tol`` is the default sup-deviation a verdict forgives, per unit of
+    sup|p| on floats, and ``snap`` the distance below which two computed
+    points are one.  Calling a backend puts a scalar on it.
     """
 
     is_float: bool

@@ -107,25 +107,11 @@ def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) ->
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """Reproducible draw from a step density."""
-
-    values: np.ndarray
-    seed: int
-    stream: int
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def sample_from_density(density: StepFunction, n_samples: int, seed: int, *, stream: int = 0) -> SampleSet:
+def sample_from_density(density: StepFunction, n_samples: int, seed: int, *, stream: int = 0) -> np.ndarray:
     """Draw n_samples points by inverse-CDF sampling of the step density."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = _rng(seed, stream)
-    values = _sample_with_rng(density, n_samples, rng)
-    return SampleSet(values=values, seed=seed, stream=stream)
+    return _sample_with_rng(density, n_samples, _rng(seed, stream))
 
 
 def _reference_cdf_factory(density: StepFunction):
@@ -241,8 +227,6 @@ class OneStepReport:
     pre: HistogramReport
     post: HistogramReport
     l1_pre_post: float
-    n_samples: int
-    seed: int
 
 
 def one_step_stationarity_test(
@@ -262,8 +246,7 @@ def one_step_stationarity_test(
     """
     chain = run_chain(system, n_samples, 1, seed, bins=bins, stream=stream)
     pre, post = chain.initial, chain.final
-    l1_pre_post = float(np.abs(pre.bin_masses - post.bin_masses).sum())
-    return OneStepReport(pre=pre, post=post, l1_pre_post=l1_pre_post, n_samples=n_samples, seed=seed)
+    return OneStepReport(pre, post, float(np.abs(pre.bin_masses - post.bin_masses).sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +263,6 @@ class ChainReport:
     final_values: np.ndarray
     n_samples: int
     n_steps: int
-    seed: int
 
 
 def run_chain(
@@ -337,7 +319,6 @@ def run_chain(
         final_values=x,
         n_samples=n_samples,
         n_steps=n_steps,
-        seed=seed,
     )
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -392,6 +393,33 @@ class TestTolerance:
         assert capsys.readouterr() == default
 
 
+    def test_float_default_scales_with_the_density(self, tmp_path, capsys):
+        # p = 10^6 at a = fl(1/3) is invariant; rounding leaves 4.7e-10, inside
+        # 1e-10 * sup|p| but not the absolute 1e-10 that --tol gives
+        s = as_float_system(lebesgue_family(3))
+        path = write_system(tmp_path, EquippedSystem(s.a, StepFunction.constant(1e6), s.alpha1))
+        assert main(["check", path]) == 0
+        assert "overall: PASS (n=3, max deviation 4.656612873077393e-10)" in capsys.readouterr().out
+        assert main(["check", path, "--tol", "1e-10"]) == 1
+        assert "overall: FAIL (n=3, max deviation 4.656612873077393e-10)" in capsys.readouterr().out
+
+    def test_float_solve_of_a_large_density(self, tmp_path, capsys):
+        path = tmp_path / "task.json"
+        task = {"a": 1 / 3, "p": {"breakpoints": [0, 1], "values": [1e6], "backend": "float"}}
+        path.write_text(json.dumps(task), encoding="utf-8")
+        assert main(["solve-alpha", str(path)]) == 0
+        assert system_from_json(capsys.readouterr().out).alpha1(0.5) == pytest.approx(0.5)
+        assert main(["solve-alpha", str(path), "--tol", "1e-10"]) == 1
+        assert capsys.readouterr().err == "infeasible: density_window_short violated by 4.656612873077393e-10\n"
+
+    def test_float_default_fails_a_tiny_non_invariant_density(self, tmp_path, capsys):
+        # alpha1 = 0 misses lebesgue n = 3 by p/2 = 5e-12
+        s = as_float_system(lebesgue_family(3))
+        path = write_system(tmp_path, EquippedSystem(s.a, s.density * 1e-11, StepFunction.constant(0.0)))
+        assert main(["check", path]) == 1
+        assert "overall: FAIL (n=3, max deviation 5.000000000000002e-12)" in capsys.readouterr().out
+
+
 class TestSolveAlpha:
     def test_recovers_staircase(self, tmp_path, capsys):
         payload = {
@@ -423,7 +451,7 @@ class TestSolveAlpha:
         path = tmp_path / "task.json"
         path.write_text(json.dumps({"p": step_to_json_dict(StepFunction.constant(1))}), encoding="utf-8")
         assert main(["solve-alpha", str(path)]) == 2
-        assert capsys.readouterr().err == f"parse error: missing key 'a' in {path}\n"
+        assert capsys.readouterr().err == "parse error: task JSON needs a/p: 'a'\n"
 
     @pytest.mark.parametrize("task", ["[]", '"x"'], ids=["list", "string"])
     def test_task_not_an_object_is_parse_error(self, tmp_path, capsys, task):
@@ -432,7 +460,7 @@ class TestSolveAlpha:
         assert main(["solve-alpha", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"parse error: {path} needs a JSON object with keys 'a' and 'p'\n"
+        assert captured.err == "parse error: task JSON must be an object with keys a/p\n"
 
     @pytest.mark.parametrize("raw", [True, None, [1]], ids=["true", "null", "list"])
     def test_bad_parameter_is_parse_error(self, tmp_path, capsys, raw):
@@ -602,6 +630,45 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: out of memory")
         assert message in err
+
+
+class TestBenchmarkLineShapes:
+    """The benchmark's checker (``perfbench/checks.py``) reads ``check``'s last
+    line and ``simulate``'s summary line with the two patterns below, copied
+    from its ``_OVERALL`` and ``_SIM_LINE``.  A change to either line shape
+    fails here first; widen the benchmark's pattern in the same change."""
+
+    OVERALL = re.compile(r"overall: (PASS|FAIL) \(n=(\d+), max deviation (.+)\)$")
+    SIM_LINE = re.compile(r"samples=(\d+) steps=(\d+) seed=(\d+) l1=([0-9.]+) ks=([0-9.]+)$")
+
+    @pytest.mark.parametrize(
+        "system,verdict",
+        [
+            (golden_system(), "PASS"),
+            (EquippedSystem(Fraction(9, 20), StepFunction.constant(1), StepFunction.constant(Fraction(1, 2))), "FAIL"),
+            (as_float_system(golden_system()), "PASS"),
+            (EquippedSystem(0.45, StepFunction.constant(1.0), StepFunction.constant(0.5)), "FAIL"),
+            (EquippedSystem(0.5, StepFunction.constant(1.7e308), StepFunction.constant(0.5)), "FAIL"),
+        ],
+        ids=["exact-pass", "exact-fail", "float-pass", "float-fail", "float-nan"],
+    )
+    def test_check_overall_line(self, tmp_path, capsys, system, verdict):
+        rc = main(["check", write_system(tmp_path, system)])
+        out = capsys.readouterr().out
+        m = self.OVERALL.search(out.strip().splitlines()[-1])
+        assert m is not None, out
+        assert (m.group(1), int(m.group(2)), rc) == (verdict, system.n, 0 if verdict == "PASS" else 1)
+
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_simulate_summary_line(self, tmp_path, capsys, steps):
+        report = tmp_path / "report.json"
+        path = write_system(tmp_path, golden_system())
+        argv = ["simulate", path, "--samples", "500", "--seed", "3", "--steps", str(steps), "--report", str(report)]
+        assert main(argv) == 0
+        m = self.SIM_LINE.search(capsys.readouterr().out.strip())
+        assert m is not None
+        assert m.group(1, 2, 3) == ("500", str(steps), "3")
+        assert abs(float(m.group(4)) - json.loads(report.read_text())["l1_distance_to_reference"]) <= 1e-6
 
 
 class TestExpand:
@@ -1026,7 +1093,6 @@ SIMULATE_NAMES = [
     "ChainReport",
     "HistogramReport",
     "OneStepReport",
-    "SampleSet",
     "histogram_report",
     "one_step_stationarity_test",
     "read_sample_file",

@@ -455,13 +455,14 @@ class TestFloatBackend:
             assert repr(report.max_deviation) == repr(math.nan)
             assert not report.passed
 
-    def test_large_density_fails_with_finite_deviation(self):
+    def test_large_density_passes_with_finite_deviation(self):
         # the translates of p = 1e308 overflow when summed in floats, but
-        # not in the exact running sum
+        # not in the exact running sum; the deviation, 4e292, is 4e-16 of
+        # sup|p|, well inside the default tolerance 1e-10 * sup|p|
         s = as_float_system(lebesgue_family(3))
         report = check_invariance_conditions(EquippedSystem(s.a, StepFunction.constant(1e308), s.alpha1))
-        assert not report.passed
-        assert math.isfinite(report.max_deviation) and report.max_deviation > 1e292
+        assert report.passed
+        assert math.isfinite(report.max_deviation) and 1e292 < report.max_deviation <= 1e-10 * 1e308
 
     @pytest.mark.parametrize(
         "build",
@@ -481,6 +482,48 @@ class TestFloatBackend:
         small = check_invariance_conditions(EquippedSystem(s.a, p, s.alpha1))
         large = check_invariance_conditions(EquippedSystem(s.a, p * 2.0**1000, s.alpha1))
         assert [c.deviation for c in large.checks] == [math.ldexp(c.deviation, 1000) for c in small.checks]
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n=n: lebesgue_family(n) for n in range(2, 13)]
+        + [lambda n=n: nonconstant_family(n, 1, 2) for n in range(2, 13)]
+        + [renyi_system],
+        ids=[f"lebesgue-{n}" for n in range(2, 13)] + [f"nonconstant-{n}" for n in range(2, 13)] + ["renyi"],
+    )
+    def test_verdicts_do_not_depend_on_the_scale_of_the_density(self, build):
+        # scaling p by c = 2^k is exact in floats, so every deviation and the
+        # default tolerance 1e-10 * sup|p| scale by exactly c; an absolute
+        # default flips verdicts at both ends of this range
+        exact = build()
+        copies = _failing_copies(exact) + [EquippedSystem(exact.a, exact.density, StepFunction.constant(v)) for v in (0, 1)]
+        failed = []
+        for system, invariant in [(exact, True), *((copy, False) for copy in copies)]:
+            s = as_float_system(system)
+            base = check_invariance_conditions(s)
+            assert base.passed or not invariant
+            failed.append(not base.passed)
+            solved = solve_alpha1(s.a, s.density) if invariant else None
+            for k in range(-60, 61):
+                c = 2.0**k
+                report = check_invariance_conditions(EquippedSystem(s.a, s.density * c, s.alpha1))
+                assert [(r.name, r.vacuous, r.passed) for r in report.checks] == [
+                    (r.name, r.vacuous, r.passed) for r in base.checks
+                ]
+                assert [r.deviation for r in report.checks] == [r.deviation * c for r in base.checks]
+                if invariant:
+                    assert solve_alpha1(s.a, s.density * c).alpha1 == solved.alpha1
+        assert any(failed) or exact.a == Fraction(1, 2)  # at a = 1/2 every alpha1 keeps p
+
+    @pytest.mark.parametrize(
+        "density",
+        [StepFunction.constant(math.inf), StepFunction([0.0, 0.5, 1.0], [1.0, math.inf])],
+        ids=["constant", "one-piece"],
+    )
+    def test_infinite_density_still_fails(self, density):
+        # sup|p| = inf would make the relative tolerance inf; the default stays 1e-10
+        s = as_float_system(lebesgue_family(3))
+        assert criterion._tolerance(density.scalars, None, density) == 1e-10
+        assert not check_invariance_conditions(EquippedSystem(s.a, density, s.alpha1)).passed
 
     def test_density_beyond_double_range_sums_raise_nothing(self):
         # sizes -p/(1-a) overflow and level sums pass the double range
@@ -582,6 +625,21 @@ class TestRangeGuard:
         with pytest.raises(InfeasibleError) as exc:
             _alpha_from_target(a, StepFunction.constant(density), StepFunction.constant(target), 0.0, 1e-10)
         assert exc.value.which == "range"
+
+    def test_scaled_default_keeps_the_ratio_bound_unscaled(self):
+        # p = 10^6 scales the default to 10^-4 where p vanishes, but a forced
+        # ratio of 1 + 10^-6 is still out of range: a ratio has no units
+        a = float(self.A)
+        density = StepFunction([0.0, a, 0.5, 1.0], [1e6, 0.0, 1e6])
+        vanishing = StepFunction.constant(1e-5).mask(a, 0.5)
+        assert _alpha_from_target(a, density, vanishing, 0.25, None)(0.45) == 0.25
+        with pytest.raises(InfeasibleError):
+            _alpha_from_target(a, density, vanishing, 0.25, 1e-10)
+        over = StepFunction.constant(1e6 * (1 + 1e-6)).mask(0.5, 1 - a)
+        with pytest.raises(InfeasibleError) as exc:
+            _alpha_from_target(a, density, over, 0.0, None)
+        assert exc.value.which == "range"
+        assert exc.value.deviation == pytest.approx(1e-6)
 
     def test_zero_density_with_nonzero_target_is_infeasible(self):
         density = StepFunction([0, self.A, Fraction(1, 2), 1], [1, 0, 1])

@@ -14,7 +14,6 @@ from twoval.simulate import (
     ChainReport,
     HistogramReport,
     OneStepReport,
-    SampleSet,
     _count_le,
     histogram_report,
     one_step_stationarity_test,
@@ -39,48 +38,47 @@ class TestSampler:
     def test_same_seed_reproduces(self):
         s1 = sample_from_density(UNIFORM, 500, seed=42)
         s2 = sample_from_density(UNIFORM, 500, seed=42)
-        assert np.array_equal(s1.values, s2.values)
+        assert np.array_equal(s1, s2)
 
     def test_seed_and_stream_change_the_draw(self):
         base = sample_from_density(UNIFORM, 500, seed=42)
         other_seed = sample_from_density(UNIFORM, 500, seed=43)
         other_stream = sample_from_density(UNIFORM, 500, seed=42, stream=1)
-        assert not np.array_equal(base.values, other_seed.values)
-        assert not np.array_equal(base.values, other_stream.values)
+        assert not np.array_equal(base, other_seed)
+        assert not np.array_equal(base, other_stream)
 
-    def test_sample_set_fields(self):
+    def test_returns_a_float64_array_of_n_values(self):
         s = sample_from_density(UNIFORM, 100, seed=7, stream=3)
-        assert isinstance(s, SampleSet)
-        assert len(s) == 100
-        assert s.seed == 7
-        assert s.stream == 3
+        assert isinstance(s, np.ndarray)
+        assert s.dtype == np.float64
+        assert s.shape == (100,)
 
     def test_values_stay_in_unit_interval(self):
         s = sample_from_density(UNIFORM, 10_000, seed=1)
-        assert np.all(s.values >= 0)
-        assert np.all(s.values <= 1)
+        assert np.all(s >= 0)
+        assert np.all(s <= 1)
 
     def test_respects_support(self):
         half = StepFunction([0, 0.5, 1], [2.0, 0.0])
         s = sample_from_density(half, 5_000, seed=5)
-        assert np.all(s.values < 0.5)
+        assert np.all(s < 0.5)
 
     def test_skips_interior_gap(self):
         gap = StepFunction([0, 0.25, 0.75, 1], [1.0, 0.0, 1.0])
         s = sample_from_density(gap, 5_000, seed=5)
-        inside = (s.values >= 0.25) & (s.values < 0.75)
+        inside = (s >= 0.25) & (s < 0.75)
         assert not inside.any()
 
     def test_piece_masses_come_out_right(self):
         f = StepFunction([0, 0.5, 1], [0.5, 1.5])
         s = sample_from_density(f, 40_000, seed=11)
-        frac_left = np.mean(s.values < 0.5)
+        frac_left = np.mean(s < 0.5)
         assert frac_left == pytest.approx(0.25, abs=0.01)
 
     def test_exact_density_is_accepted(self):
         sys = golden_system()
         s = sample_from_density(sys.density, 20_000, seed=3)
-        rep = histogram_report(s.values, sys.density)
+        rep = histogram_report(s, sys.density)
         assert rep.ks_statistic < 0.02
 
     def test_zero_mass_rejected(self):
@@ -112,22 +110,22 @@ class TestHistogramReport:
 
     def test_masses_sum_to_one(self):
         s = sample_from_density(UNIFORM, 1000, seed=2)
-        rep = histogram_report(s.values, UNIFORM, bins=37)
+        rep = histogram_report(s, UNIFORM, bins=37)
         assert rep.bin_masses.sum() == pytest.approx(1.0)
         assert rep.reference_masses.sum() == pytest.approx(1.0)
         assert len(rep.bin_edges) == 38
 
     def test_matched_samples_sit_at_noise_floor(self):
         s = sample_from_density(UNIFORM, 40_000, seed=8)
-        rep = histogram_report(s.values, UNIFORM, bins=100)
+        rep = histogram_report(s, UNIFORM, bins=100)
         assert rep.l1_distance_to_reference < 0.08
         assert rep.ks_statistic < 0.015
 
     def test_unnormalized_reference_is_normalized(self):
         s = sample_from_density(UNIFORM, 10_000, seed=9)
         doubled = StepFunction.constant(2.0)
-        a = histogram_report(s.values, UNIFORM, bins=20)
-        b = histogram_report(s.values, doubled, bins=20)
+        a = histogram_report(s, UNIFORM, bins=20)
+        b = histogram_report(s, doubled, bins=20)
         assert a.l1_distance_to_reference == pytest.approx(b.l1_distance_to_reference)
 
     def test_rejects_empty_and_bad_bins(self):
@@ -196,13 +194,13 @@ class TestRunChain:
         assert isinstance(rep.final, HistogramReport)
         # zero steps is a plain draw from the density, stream for stream
         drawn = sample_from_density(as_float_system(golden_system()).density, 10_000, seed=43)
-        assert np.array_equal(rep.final_values, drawn.values)
+        assert np.array_equal(rep.final_values, drawn)
         assert rep.initial is rep.final
 
     def test_initial_is_the_step_zero_histogram(self):
         fs = as_float_system(golden_system())
         rep = run_chain(fs, 10_000, 3, seed=44, bins=40, stream=2)
-        start = sample_from_density(fs.density, 10_000, seed=44, stream=2).values
+        start = sample_from_density(fs.density, 10_000, seed=44, stream=2)
         want = histogram_report(start, fs.density, bins=40)
         assert np.array_equal(rep.initial.bin_masses, want.bin_masses)
         assert rep.initial.ks_statistic == want.ks_statistic
@@ -243,7 +241,7 @@ class TestRunChain:
 
 class TestSampleFile:
     def test_round_trips(self, tmp_path):
-        values = sample_from_density(UNIFORM, 1000, seed=13).values
+        values = sample_from_density(UNIFORM, 1000, seed=13)
         path = tmp_path / "samples.bin"
         write_sample_file(path, values)
         back = read_sample_file(path)
@@ -503,12 +501,12 @@ class TestMemory:
 
     def test_report_holds_one_sorted_copy(self):
         density = as_float_system(golden_system()).density
-        values = sample_from_density(density, self.N, seed=3).values
+        values = sample_from_density(density, self.N, seed=3)
         histogram_report(values[:1_000], density)
         assert peak_arrays(lambda: histogram_report(values, density), self.N) <= 2.25
 
     def test_sample_file_writes_without_a_copy_and_reads_into_one_array(self, tmp_path):
-        values = sample_from_density(UNIFORM, self.N, seed=4).values
+        values = sample_from_density(UNIFORM, self.N, seed=4)
         path = tmp_path / "big.bin"
         assert peak_arrays(lambda: write_sample_file(path, values), self.N) <= 0.25
         assert peak_arrays(lambda: read_sample_file(path), self.N) <= 1.25
