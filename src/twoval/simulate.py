@@ -11,17 +11,19 @@ All randomness flows through a counter-based Philox generator keyed by
 cheap to construct.
 
 The sampler, the chain step and the reports walk the points in fixed
-blocks of 65,536 (``_blocks``).  Draws and coins come block by block from
-the one stream, which gives the same numbers as one large draw, so the
-output does not depend on the block size.  A chain holds its n points
-and, for a report, one sorted copy: about 16n bytes plus a few MB of
-per-block temporaries.
+blocks of 65,536 (``_blocks``), and build the lookup tables they read
+(``_lookup``) once per call or chain.  Draws and coins come block by block
+from the one stream, which gives the same numbers as one large draw, so
+the output does not depend on the block size.  A chain with steps reports
+only on its final points: it holds its n points and, for that report, one
+sorted copy, about 16n bytes plus a few MB of per-block temporaries.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,10 +44,9 @@ def _blocks(n: int):
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    if not isinstance(stream, int) or isinstance(stream, bool) or stream < 0:
-        raise ValueError("stream must be a nonnegative integer")
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -56,29 +57,40 @@ def _float_steps(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     return bps, vals
 
 
-#: cells of the [0, 1] lookup table in _count_le; a power of two, so that
+#: cells of the [0, 1] lookup tables in _lookup; a power of two, so that
 #: x * _CELLS is exact and its floor is the cell that holds x
 _CELLS = 4096
 
 
-def _count_le(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(edges, x, side="right")`` for keys x in [0, 1].
+def _lookup(edges: np.ndarray, exact=None):
+    """``exact`` for keys x in [0, 1], off a table of 4,097 entries built once.
 
-    ``edges`` is ascending, ties allowed.  A key in cell k = floor(4096 x)
-    takes the count at k/4096 from a table of 4,097 entries, unless an edge
-    lies strictly inside that cell: only such keys are binary-searched.
+    ``exact`` is >= 0 and right-continuous, with jumps only at ``edges``
+    (ascending, ties allowed); it defaults to the count of edges <= x.
+    Entry k is exact(k/4096), its value on cell k = floor(4096 x), or -1
+    if an edge lies strictly inside that cell: only such keys go to exact.
     Keys outside [0, 1], and NaN, are outside the domain.
     """
+    if exact is None:
+        exact = partial(np.searchsorted, edges, side="right")
     grid = np.arange(_CELLS + 1) / _CELLS
-    at = np.searchsorted(edges, grid, side="right")
-    inside = np.append(np.searchsorted(edges, grid[1:]) > at[:-1], False)
-    k = np.empty(len(x), dtype=np.intp)
-    np.multiply(x, _CELLS, out=k, casting="unsafe")  # truncates as astype does, with no float buffer
-    count = at[k]
-    hard = np.flatnonzero(inside[k])
-    if len(hard):
-        count[hard] = np.searchsorted(edges, x[hard], side="right")
-    return count
+    table = exact(grid)
+    table[:-1][np.searchsorted(edges, grid[1:]) > np.searchsorted(edges, grid[:-1], side="right")] = -1
+
+    def lookup(x: np.ndarray) -> np.ndarray:
+        k = np.empty(len(x), dtype=np.intp)
+        np.multiply(x, _CELLS, out=k, casting="unsafe")  # truncates as astype does, with no float buffer
+        out = table[k]
+        hard = np.flatnonzero(out < 0)
+        out[hard] = exact(x[hard])
+        return out
+
+    return lookup
+
+
+def _count_le(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, x, side="right")`` for keys x in [0, 1]."""
+    return _lookup(edges)(x)
 
 
 def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,10 +105,11 @@ def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) ->
     cum = np.cumsum(masses) / total
     cum[-1] = 1.0
     prev = np.concatenate(([0.0], cum[:-1]))
+    count_le = _lookup(cum)
     x = np.empty(n)
     for s in _blocks(n):  # Philox draws in blocks concatenate to the one large draw
         u = rng.random(out=x[s])
-        idx = _count_le(cum, u)
+        idx = count_le(u)
         # bps + (u - prev) / (masses / total) * widths at each draw's piece, one
         # operation at a time in place: the same roundings, one buffer fewer
         u -= prev[idx]
@@ -112,33 +125,6 @@ def sample_from_density(density: StepFunction, n_samples: int, seed: int, *, str
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     return _sample_with_rng(density, n_samples, _rng(seed, stream))
-
-
-def _reference_cdf_factory(density: StepFunction):
-    bps, vals = _float_steps(density)
-    widths = np.diff(bps)
-    masses = vals * widths
-    total = masses.sum()
-    if not total > 0:
-        raise ZeroMassError("reference density has no mass")
-    cum_at_bp = np.concatenate(([0.0], np.cumsum(masses)))
-
-    def cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The CDF at ascending keys x, into ``out`` (which may be x itself).
-
-        Piece i holds the keys in [bps[i], bps[i+1]), the first piece also
-        those below and the last those above, so each piece is one slice
-        of x and takes (cum_at_bp[i] + vals[i] * (x - bps[i])) / total,
-        with its three numbers repeated over the slice.
-        """
-        lens = np.diff(np.searchsorted(x, bps[1:-1]), prepend=0, append=len(x))
-        out = np.subtract(x, np.repeat(bps[:-1], lens), out=out)
-        out *= np.repeat(vals, lens)
-        out += np.repeat(cum_at_bp[:-1], lens)
-        out /= total
-        return np.clip(out, 0.0, 1.0, out=out)
-
-    return cdf
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +145,39 @@ def _binned_l1(counts: np.ndarray, n: int, ref: np.ndarray) -> tuple[np.ndarray,
     return emp, float(np.abs(emp - ref).sum())
 
 
+def _binning(reference: StepFunction, bins: int, n: int):
+    """The bin edges, the reference CDF and its mass in each bin, for a
+    report on n values."""
+    if bins < 1:
+        raise ValueError("bins must be positive")
+    if n == 0:
+        raise ValueError("no samples to report on")
+    bps, vals = _float_steps(reference)
+    masses = vals * np.diff(bps)
+    total = masses.sum()
+    if not total > 0:
+        raise ZeroMassError("reference density has no mass")
+    cum_at_bp = np.concatenate(([0.0], np.cumsum(masses)))
+
+    def cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The CDF at ascending keys x, into ``out`` (which may be x itself).
+
+        Piece i holds the keys in [bps[i], bps[i+1]), the first piece also
+        those below and the last those above, so each piece is one slice
+        of x and takes (cum_at_bp[i] + vals[i] * (x - bps[i])) / total,
+        with its three numbers repeated over the slice.
+        """
+        lens = np.diff(np.searchsorted(x, bps[1:-1]), prepend=0, append=len(x))
+        out = np.subtract(x, np.repeat(bps[:-1], lens), out=out)
+        out *= np.repeat(vals, lens)
+        out += np.repeat(cum_at_bp[:-1], lens)
+        out /= total
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    return edges, cdf, np.diff(cdf(edges))
+
+
 def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 100) -> HistogramReport:
     """Bin the values on a uniform grid and measure the gap to the reference.
 
@@ -166,15 +185,9 @@ def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 10
     vectors; the KS figure is the usual one-sample statistic against the
     reference CDF.
     """
-    if bins < 1:
-        raise ValueError("bins must be positive")
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    if n == 0:
-        raise ValueError("no samples to report on")
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    cdf = _reference_cdf_factory(reference)
-    ref = np.diff(cdf(edges))
+    edges, cdf, ref = _binning(reference, bins, n)
     xs = np.sort(values)
     # np.histogram's counts off the sorted values: bins [e_i, e_i+1), the last closed
     below = np.append(np.searchsorted(xs, edges[:-1]), np.searchsorted(xs, edges[-1], side="right"))
@@ -188,36 +201,40 @@ def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 10
         fn /= n
         d_minus = (f - fn[:-1]).max(initial=d_minus)
         d_plus = (fn[1:] - f).max(initial=d_plus)
-    return HistogramReport(
-        bin_edges=edges,
-        bin_masses=emp,
-        reference_masses=ref,
-        l1_distance_to_reference=l1,
-        ks_statistic=float(max(d_plus, d_minus)),
-    )
+    return HistogramReport(edges, emp, ref, l1, float(max(d_plus, d_minus)))
 
 
-def _advance(x: np.ndarray, system: EquippedSystem, coins: np.ndarray) -> np.ndarray:
-    """One random branch step of the points x in [0, 1].
+def _stepper(system: EquippedSystem):
+    """One random branch step, ``step(x, coins)`` for points x in [0, 1].
 
-    A point takes the first branch when its coin falls below alpha1(x).  The
-    first branch cuts at 1 - a, the second at a; a point at or above its cut
-    maps to (x - a)/(1 - a), any other to x/(1 - a).  As a <= 1 - a, the
-    points at or above their cut are those at or above a that the first
-    branch does not hold below 1 - a.  Each point subtracts ``high * a``,
-    and x - 0.0 is x, so the branch-free form gives the same bits.
+    A point takes the first branch, cut at 1 - a, when its coin < alpha1(x),
+    else the second, cut at a; at or above its cut it maps to (x - a)/(1 - a),
+    else to x/(1 - a).  As a <= 1 - a, for coins in [0, 1) that high branch
+    is taken exactly when coin >= g(x), with g (a _lookup) = +inf on [0, a),
+    alpha1 on [a, 1 - a) and 0 on [1 - a, 1].  x - 0.0 is x, so subtracting
+    ``high * a`` gives the bits of both branches.
     """
     a = float(system.a)
     w = 1.0 - a
     bps, vals = _float_steps(system.alpha1)
-    # alpha1 at piece count - 1; the end values repeat for keys at 0 and at 1
-    first = coins < np.concatenate((vals[:1], vals, vals[-1:]))[_count_le(bps, x)]
-    high = x >= a
-    high &= ~first | (x >= w)
-    y = high * a
-    np.subtract(x, y, out=y)
-    y /= w
-    return np.clip(y, 0.0, 1.0, out=y)
+    g = _lookup(
+        np.sort(np.append(bps, (a, w))),  # alpha1(x) = vals[#{breakpoints < 1 that are <= x} - 1]
+        lambda x: np.where(x < a, np.inf, np.where(x >= w, 0.0, vals[np.searchsorted(bps[:-1], x, side="right") - 1])),
+    )
+
+    def step(x: np.ndarray, coins: np.ndarray) -> np.ndarray:
+        y = g(x)
+        np.multiply(coins >= y, a, out=y)  # high * a, in the thresholds' buffer
+        np.subtract(x, y, out=y)
+        y /= w
+        return np.clip(y, 0.0, 1.0, out=y)
+
+    return step
+
+
+def _advance(x: np.ndarray, system: EquippedSystem, coins: np.ndarray) -> np.ndarray:
+    """One random branch step of the points x in [0, 1] with their coins."""
+    return _stepper(system)(x, coins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,15 +254,16 @@ def one_step_stationarity_test(
     bins: int = 100,
     stream: int = 0,
 ) -> OneStepReport:
-    """Sample the system's density, take one random step, compare back.
+    """Sample the density (``pre``) and take one run_chain step from that draw (``post``).
 
     ``post.l1_distance_to_reference`` is the operative figure: it holds
     the post-step histogram against the density itself, so it stays at
     the sqrt(bins/n_samples) noise floor exactly when the density is
     invariant and saturates at the true displacement otherwise.
     """
-    chain = run_chain(system, n_samples, 1, seed, bins=bins, stream=stream)
-    pre, post = chain.initial, chain.final
+    density = as_float_system(system).density
+    pre = histogram_report(sample_from_density(density, n_samples, seed, stream=stream), density, bins)
+    post = run_chain(system, n_samples, 1, seed, bins=bins, stream=stream).final
     return OneStepReport(pre, post, float(np.abs(pre.bin_masses - post.bin_masses).sum()))
 
 
@@ -253,12 +271,11 @@ def one_step_stationarity_test(
 class ChainReport:
     """Distance to the reference density along an iterated chain.
 
-    ``initial`` holds the starting points against the density, ``final``
-    the points after the last step (the same report when no step is taken).
+    ``final`` holds the points after the last step against the density,
+    or the starting points when no step is taken.
     """
 
     step_distances: list[float]
-    initial: HistogramReport
     final: HistogramReport
     final_values: np.ndarray
     n_samples: int
@@ -279,7 +296,8 @@ def run_chain(
 
     ``initial`` is "density" (start from the system's own density) or
     "uniform" (start from Lebesgue, watching the chain pull toward the
-    invariant density).
+    invariant density).  Only the last step is reported in full; the
+    start is not reported on unless no step is taken.
 
     Caveat for a = 1/2 in floats: both branches double the mantissa, so
     every orbit lands on dyadic rationals and collapses to 0 after about
@@ -298,28 +316,25 @@ def run_chain(
         x = _sample_with_rng(fs.density, n_samples, rng)
     else:
         x = rng.random(n_samples)
+    if n_steps:  # the bins, their reference masses and the branch step, once per chain
+        edges, _, ref = _binning(fs.density, bins, n_samples)
+        step_block = _stepper(fs)
+    else:
+        report = histogram_report(x, fs.density, bins)
     distances = []
-    start = report = histogram_report(x, fs.density, bins)
     for step in range(n_steps):
         last = step == n_steps - 1
         counts = 0  # only the L1 figure of an intermediate step is kept
         for s in _blocks(n_samples):  # each block draws its coins and steps in place
-            x[s] = _advance(x[s], fs, rng.random(s.stop - s.start))
+            x[s] = step_block(x[s], rng.random(s.stop - s.start))
             if not last:
-                counts = counts + np.histogram(x[s], bins=start.bin_edges)[0]
+                counts = counts + np.histogram(x[s], bins=edges)[0]
         if last:
             report = histogram_report(x, fs.density, bins)
             distances.append(report.l1_distance_to_reference)
         else:
-            distances.append(_binned_l1(counts, n_samples, start.reference_masses)[1])
-    return ChainReport(
-        step_distances=distances,
-        initial=start,
-        final=report,
-        final_values=x,
-        n_samples=n_samples,
-        n_steps=n_steps,
-    )
+            distances.append(_binned_l1(counts, n_samples, ref)[1])
+    return ChainReport(distances, report, x, n_samples, n_steps)
 
 
 def write_sample_file(path, values) -> None:

@@ -383,14 +383,24 @@ class TestTolerance:
         assert captured.out == ""
         assert captured.err == "error: --tol needs a finite number, got '1e400'\n"
 
-    def test_float_default_is_the_same_tolerance(self, tmp_path, capsys):
-        s = golden_system(1, 2)
-        bumped = s.density + StepFunction([0, Fraction(1, 3), 1], [0, Fraction(1, 10**12)])
-        path = write_system(tmp_path, as_float_system(EquippedSystem(s.a, bumped, s.alpha1)))
+    @pytest.mark.parametrize("case", ["golden", "large"])
+    def test_float_default_is_the_same_tolerance(self, tmp_path, capsys, case):
+        # the default is --tol 1e-10 * sup|p|; the absolute --tol 1e-10 gives
+        # the same verdict at sup|p| = 2 and another one at sup|p| = 10^6
+        if case == "golden":
+            s = golden_system(1, 2)
+            bumped = s.density + StepFunction([0, Fraction(1, 3), 1], [0, Fraction(1, 10**12)])
+            system = as_float_system(EquippedSystem(s.a, bumped, s.alpha1))
+        else:
+            s = as_float_system(lebesgue_family(3))
+            system = EquippedSystem(s.a, StepFunction.constant(1e6), s.alpha1)
+        path = write_system(tmp_path, system)
+        sup = max(abs(v) for v in system.density.values)
         rc = main(["check", path])
         default = capsys.readouterr()
-        assert main(["check", path, "--tol", "1e-10"]) == rc
+        assert main(["check", path, "--tol", repr(1e-10 * sup)]) == rc
         assert capsys.readouterr() == default
+        assert (main(["check", path, "--tol", "1e-10"]) == rc) == (case == "golden")
 
 
     def test_float_default_scales_with_the_density(self, tmp_path, capsys):

@@ -31,7 +31,7 @@ from twoval.criterion import (
     solve_alpha1,
 )
 from twoval.families import lebesgue_family, nonconstant_family, renyi_system
-from twoval.numerics import Interval, Surd
+from twoval.numerics import FLOAT, Interval, Surd
 from twoval.piecewise import StepFunction, combine, from_jumps
 from twoval.system import EquippedSystem, as_float_system, derive_n, pushforward_density
 
@@ -311,6 +311,10 @@ def _checks_by_masks(system: EquippedSystem) -> list:
     s = _identity(a, n, system.density)
     diff = system.weight_first - s
     split = 1 - (n - 1) * a
+    tol = b.tol  # the float default scales with p: 1e-10 * sup|p|, or 1e-10 if that sup is not finite
+    if b.is_float:
+        sup = max(abs(v) for v in system.density.values)
+        tol = FLOAT.tol * sup if math.isfinite(sup) else FLOAT.tol
     windows = [("density_window_full", s, a, split, (n - 1) * a), ("density_window_short", s, split, 2 * a, (n - 2) * a)]
     windows += [
         (f"weight_identity[{m}]", diff, (m + 1) * a, (m + 2) * a if m < n - 2 else 1 - a, 0) for m in range(n - 1)
@@ -321,7 +325,7 @@ def _checks_by_masks(system: EquippedSystem) -> list:
             out.append((name, Interval(min(lo, hi), min(lo, hi)), b.zero, True, True))
             continue
         dev = f.mask(lo + shift, hi + shift).sup_norm()
-        out.append((name, Interval(lo, hi), dev, dev <= b.tol, False))
+        out.append((name, Interval(lo, hi), dev, dev <= tol, False))
     return out
 
 
@@ -352,6 +356,15 @@ class TestOneWalk:
                     )
                     failing += not report.passed
         assert failing >= 2 * len(jump_form_systems(case))
+
+    def test_checks_match_masks_where_the_float_tolerance_scales(self):
+        # p = 10^6 at a = fl(1/3) is invariant; rounding leaves deviations of
+        # about 4.7e-10, inside 1e-10 * sup|p| but not inside 1e-10
+        s = as_float_system(lebesgue_family(3))
+        t = EquippedSystem(s.a, StepFunction.constant(1e6), s.alpha1)
+        report = check_invariance_conditions(t)
+        assert report.passed and report.max_deviation > 1e-10
+        assert [(c.name, c.window, c.deviation, c.passed, c.vacuous) for c in report.checks] == _checks_by_masks(t)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_deviation_is_on_the_backend(self, n):

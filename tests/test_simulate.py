@@ -14,6 +14,7 @@ from twoval.simulate import (
     ChainReport,
     HistogramReport,
     OneStepReport,
+    _advance,
     _count_le,
     histogram_report,
     one_step_stationarity_test,
@@ -195,15 +196,30 @@ class TestRunChain:
         # zero steps is a plain draw from the density, stream for stream
         drawn = sample_from_density(as_float_system(golden_system()).density, 10_000, seed=43)
         assert np.array_equal(rep.final_values, drawn)
-        assert rep.initial is rep.final
 
-    def test_initial_is_the_step_zero_histogram(self):
+    def test_one_step_pre_is_the_report_on_the_chain_start(self):
         fs = as_float_system(golden_system())
-        rep = run_chain(fs, 10_000, 3, seed=44, bins=40, stream=2)
-        start = sample_from_density(fs.density, 10_000, seed=44, stream=2)
-        want = histogram_report(start, fs.density, bins=40)
-        assert np.array_equal(rep.initial.bin_masses, want.bin_masses)
-        assert rep.initial.ks_statistic == want.ks_statistic
+        got = one_step_stationarity_test(fs, 10_000, seed=44, bins=40, stream=2).pre
+        want = histogram_report(sample_from_density(fs.density, 10_000, seed=44, stream=2), fs.density, bins=40)
+        for field in ("bin_edges", "bin_masses", "reference_masses"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert (got.l1_distance_to_reference, got.ks_statistic) == (want.l1_distance_to_reference, want.ks_statistic)
+
+    def test_one_report_and_one_build_of_each_lookup_table(self, monkeypatch):
+        # 4 blocks a step over 5 steps: the sampler's count table and the
+        # branch step's threshold table are each built once, and only the
+        # last step is reported on
+        calls = {"histogram_report": 0, "_lookup": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(twoval.simulate, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(twoval.simulate, name, counted)
+        rep = run_chain(golden_system(), 3 * BLOCK + 17, 5, seed=48)
+        assert calls == {"histogram_report": 1, "_lookup": 2}
+        assert len(rep.step_distances) == 5
 
     def test_every_step_distance_is_its_full_report_l1(self):
         # a k-step chain is the first k steps of a longer one, and its last
@@ -229,14 +245,38 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(golden_system(), 100, 2, seed=1, initial="spike")
 
-    @pytest.mark.parametrize("steps", [-1, _MAX_STEPS + 1, 10**20])
-    def test_step_count_outside_the_cap_raises_before_any_step(self, monkeypatch, steps):
-        def no_step(*args):
-            raise AssertionError("_advance ran")
+    @pytest.fixture
+    def no_step(self, monkeypatch):
+        """run_chain's per-block branch step, made to fail if it runs."""
 
-        monkeypatch.setattr(twoval.simulate, "_advance", no_step)
+        def step(x, coins):
+            raise AssertionError("a branch step ran")
+
+        monkeypatch.setattr(twoval.simulate, "_stepper", lambda system: step)
+
+    def test_the_step_guard_guards(self, no_step):
+        with pytest.raises(AssertionError, match="a branch step ran"):
+            run_chain(golden_system(), 100, 1, seed=1)
+
+    @pytest.mark.parametrize("steps", [-1, _MAX_STEPS + 1, 10**20])
+    def test_step_count_outside_the_cap_raises_before_any_step(self, no_step, steps):
         with pytest.raises(ValueError, match=r"n_steps must lie in \[0, 1000000\]"):
             run_chain(golden_system(), 100, steps, seed=1)
+
+    @pytest.mark.parametrize(
+        ("density", "kwargs", "error", "message"),
+        [
+            (1.0, {"bins": 0}, ValueError, "bins must be positive"),
+            (0.0, {"initial": "uniform"}, ZeroMassError, "reference density has no mass"),
+            (0.0, {"initial": "uniform", "bins": 0}, ValueError, "bins must be positive"),
+            (0.0, {"bins": 0}, ZeroMassError, "density has no mass to sample from"),
+        ],
+    )
+    def test_bad_bins_and_a_massless_reference_raise_before_any_step(self, no_step, density, kwargs, error, message):
+        system = EquippedSystem(0.3, StepFunction.constant(density), StepFunction.constant(0.5))
+        for steps in (1, 5):
+            with pytest.raises(error, match=f"^{message}$"):
+                run_chain(system, 100, steps, seed=1, **kwargs)
 
 
 class TestSampleFile:
@@ -406,11 +446,48 @@ def assert_chain_matches_reference(fs: EquippedSystem, n: int, max_steps: int):
         rep = run_chain(fs, n, steps, 19, stream=3)
         assert rep.final_values.tobytes() == xs[steps].tobytes()
         assert rep.step_distances == [r[2] for r in reports[1 : steps + 1]]
-        for got, want in ((rep.initial, reports[0]), (rep.final, reports[steps])):
-            assert got.bin_masses.tobytes() == want[0].tobytes()
-            assert got.reference_masses.tobytes() == want[1].tobytes()
-            assert got.l1_distance_to_reference == want[2]
-            assert got.ks_statistic == want[3]
+        got, want = rep.final, reports[steps]
+        assert got.bin_masses.tobytes() == want[0].tobytes()
+        assert got.reference_masses.tobytes() == want[1].tobytes()
+        assert got.l1_distance_to_reference == want[2]
+        assert got.ks_statistic == want[3]
+
+
+@st.composite
+def branch_systems(draw):
+    """Float systems at a = 1/2 (an empty middle), fl(1/3) or a random a, with
+    alpha1 cut at random, on the 1/4096 grid or in a 1e-6 cluster (around a,
+    1 - a or a random point), and cut exactly at a and at 1 - a."""
+    a = draw(st.sampled_from([0.5, 1 / 3]) | st.floats(0.01, 0.5))
+    w = 1.0 - a
+    kind = draw(st.sampled_from(["random", "grid", "cluster"]))
+    size = draw(st.integers(0, 8))
+    if kind == "random":
+        cuts = draw(st.lists(st.floats(0.0, 1.0), max_size=size))
+    elif kind == "grid":
+        cuts = [k / 4096 for k in draw(st.lists(st.integers(1, 4095), max_size=size))]
+    else:
+        centre = draw(st.sampled_from([a, w]) | st.floats(0.0, 1.0))
+        cuts = [centre + d for d in draw(st.lists(st.floats(-1e-6, 1e-6), max_size=size))]
+    cuts += draw(st.lists(st.sampled_from([a, w]), max_size=2))
+    bps = sorted({c for c in cuts if 0.0 < c < 1.0})
+    vals = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=len(bps) + 1, max_size=len(bps) + 1))
+    return EquippedSystem(a, StepFunction.constant(1.0), StepFunction([0.0, *bps, 1.0], vals))
+
+
+class TestBranchThresholds:
+    @settings(max_examples=300, deadline=None)
+    @given(branch_systems(), st.integers(0, 2**32 - 1))
+    def test_step_matches_the_reference_step(self, fs, seed):
+        # keys at 0, 1 and at and next to every edge of the threshold table;
+        # coins at random, at alpha1 itself, one double below it, and 0
+        rng = np.random.default_rng(seed)
+        bps, vals = ref_steps(fs.alpha1)
+        keys = np.concatenate((keys_around(np.sort(np.append(bps, (fs.a, 1.0 - fs.a)))), rng.random(100)))
+        alpha = ref_eval_step(bps, vals, keys)
+        x = np.tile(keys, 4)
+        coins = np.concatenate((rng.random(len(keys)), alpha, np.nextafter(alpha, 0.0), np.zeros(len(keys))))
+        assert _advance(x, fs, coins).tobytes() == ref_advance(x, fs, coins).tobytes()
 
 
 class TestByteIdentity:
