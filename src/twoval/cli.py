@@ -106,7 +106,7 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import run_chain, write_sample_file  # numpy loads only for this command
+    from .simulate import noise_floor, run_chain, write_sample_file  # numpy loads only for this command
 
     system = _load_system(args.system)
     chain = run_chain(
@@ -128,6 +128,7 @@ def cmd_simulate(args) -> int:
             "steps": args.steps,
             "bins": args.bins,
             "l1_distance_to_reference": final.l1_distance_to_reference,
+            "noise_floor": noise_floor(final.reference_masses, args.samples),
             "ks_statistic": final.ks_statistic,
             "step_distances": chain.step_distances,
         }

@@ -10,18 +10,23 @@ All randomness flows through a counter-based Philox generator keyed by
 (seed, stream), so runs are reproducible and independent streams are
 cheap to construct.
 
-The sampler, the chain step and the reports walk the points in fixed
-blocks of 65,536 (``_blocks``), and build the lookup tables they read
-(``_lookup``) once per call or chain.  Draws and coins come block by block
-from the one stream, which gives the same numbers as one large draw, so
-the output does not depend on the block size.  A chain with steps reports
-only on its final points: it holds its n points and, for that report, one
-sorted copy, about 16n bytes plus a few MB of per-block temporaries.
+The sampler and the reports walk the points in fixed blocks of 32,768
+(``_blocks``), and build the lookup tables they read (``_lookup``) once
+per call or chain.  Draws come block by block from the one stream, which
+gives the same numbers as one large draw, so the output does not depend on
+the block size.  ``run_chain`` runs its blocks on every CPU the process may
+use, when it has the work for them (``_workers``): each worker carries a
+block through the start and all steps, taking each draw from its fixed
+place in the stream (``_draws``), so every output byte is the same at any
+CPU count.  A chain reports in full only on its final points: it holds its
+n points and, for that report, one sorted copy, about 16n bytes, plus three
+block buffers per worker.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -30,17 +35,39 @@ import numpy as np
 from .piecewise import StepFunction, ZeroMassError
 from .system import EquippedSystem, as_float_system
 
-#: the longest chain run_chain takes; at 10^4 samples that many steps run 4-8 min on a 2-vCPU Xeon
+#: the longest chain run_chain takes; at 10^4 samples (one block, so one
+#: worker) that many steps run about 3-8 min on a 2-vCPU Xeon, where 4,000
+#: of them take 0.76 s, as they did on one thread at 65,536-point blocks
 _MAX_STEPS = 10**6
 
-#: points per block, the block np.histogram sorts at a time: the kernels
-#: work block by block, so their temporaries take a fixed few MB at any n
-_BLOCK = 65536
+#: points per block: the kernels work block by block, so their temporaries
+#: take a fixed few MB at any n, and a chain's blocks are its units of work
+_BLOCK = 32768
+
+#: the fewest block-stages (a block's start or one of its steps, 0.3-0.6 ms
+#: each) a chain starts a worker for: a new thread costs more than it saves
+#: on less (on a 2-vCPU VM, 10^5-point chains of 0 or 1 steps, 4 and 8
+#: block-stages, ran about 10% slower at their fastest on two threads)
+_PER_WORKER = 8
+
+#: the most bin counts a chain holds per round of steps (see run_chain)
+_COUNTS = 4096
+
+#: one 64-bit word of Philox's 256-bit counter
+_WORD = (1 << 64) - 1
 
 
 def _blocks(n: int):
     """The slices of range(n), in order, of _BLOCK points each but the last."""
     return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
+
+
+def _workers(blocks: int, stages: int) -> int:
+    """The worker threads of a chain of ``blocks`` blocks through ``stages``
+    stages (its start and its steps): one per CPU the process may use, no
+    more than there are blocks, and one per _PER_WORKER block-stages."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return max(1, min(len(cpus), blocks, blocks * stages // _PER_WORKER))
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -49,6 +76,24 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
             raise ValueError(f"{name} must be a nonnegative integer")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _draws(rng: np.random.Generator, d: int, out: np.ndarray) -> np.ndarray:
+    """Draws d, d + 1, ... of the Philox stream of ``rng``, into ``out``.
+
+    Philox is counter-based: its counter steps before each block of four
+    words, so draw d is word d % 4 of the block at counter d // 4 + 1.
+    Counter d // 4 (all 256 bits of it), an empty buffer and d % 4 words
+    discarded reach draw d, whatever was drawn before.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    c = d // 4
+    state["state"]["counter"] = np.array([(c >> shift) & _WORD for shift in (0, 64, 128, 192)], dtype=np.uint64)
+    state["buffer_pos"] = 4
+    bit_generator.state = state
+    bit_generator.random_raw(d % 4)
+    return rng.random(out=out)
 
 
 def _float_steps(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +114,10 @@ def _lookup(edges: np.ndarray, exact=None):
     (ascending, ties allowed); it defaults to the count of edges <= x.
     Entry k is exact(k/4096), its value on cell k = floor(4096 x), or -1
     if an edge lies strictly inside that cell: only such keys go to exact.
-    Keys outside [0, 1], and NaN, are outside the domain.
+    Keys outside [0, 1], and NaN, are outside the domain.  The lookup,
+    ``lookup(x, k, out)``, writes into ``out`` (of the table's dtype) with
+    ``k`` (intp) as scratch, both of len(x), and allocates nothing of that
+    size.
     """
     if exact is None:
         exact = partial(np.searchsorted, edges, side="right")
@@ -77,11 +125,10 @@ def _lookup(edges: np.ndarray, exact=None):
     table = exact(grid)
     table[:-1][np.searchsorted(edges, grid[1:]) > np.searchsorted(edges, grid[:-1], side="right")] = -1
 
-    def lookup(x: np.ndarray) -> np.ndarray:
-        k = np.empty(len(x), dtype=np.intp)
+    def lookup(x: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(x, _CELLS, out=k, casting="unsafe")  # truncates as astype does, with no float buffer
-        out = table[k]
-        hard = np.flatnonzero(out < 0)
+        np.take(table, k, out=out, mode="clip")  # every cell is in the table; "raise" would buffer out
+        hard = np.flatnonzero(np.less(out, 0, out=k.view(np.bool_)[: len(x)]))  # k, spent, holds the mask
         out[hard] = exact(x[hard])
         return out
 
@@ -90,10 +137,15 @@ def _lookup(edges: np.ndarray, exact=None):
 
 def _count_le(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``np.searchsorted(edges, x, side="right")`` for keys x in [0, 1]."""
-    return _lookup(edges)(x)
+    return _lookup(edges)(x, np.empty(len(x), dtype=np.intp), np.empty(len(x), dtype=np.intp))
 
 
-def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sampler(density: StepFunction):
+    """Inverse-CDF sampling of a step density, ``sample(u, k, j, v)``.
+
+    It turns the uniforms u into draws in place, with k and j (intp) and v
+    (float64) of len(u) as scratch.
+    """
     bps, vals = _float_steps(density)
     if np.any(vals < 0):
         raise ValueError("density must be nonnegative")
@@ -106,17 +158,27 @@ def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) ->
     cum[-1] = 1.0
     prev = np.concatenate(([0.0], cum[:-1]))
     count_le = _lookup(cum)
+    # bps + (u - prev) / (masses / total) * widths at each draw's piece, one
+    # operation at a time in place
+    ops = ((np.subtract, prev), (np.divide, masses / total), (np.multiply, widths), (np.add, bps))
+
+    def sample(u: np.ndarray, k: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
+        idx = count_le(u, k, j)
+        for op, table in ops:
+            op(u, np.take(table, idx, out=v, mode="clip"), out=u)
+        return np.clip(u, 0.0, 1.0, out=u)
+
+    return sample
+
+
+def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) -> np.ndarray:
+    sample = _sampler(density)
+    width = min(n, _BLOCK)
+    k, j, v = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp), np.empty(width)
     x = np.empty(n)
     for s in _blocks(n):  # Philox draws in blocks concatenate to the one large draw
-        u = rng.random(out=x[s])
-        idx = count_le(u)
-        # bps + (u - prev) / (masses / total) * widths at each draw's piece, one
-        # operation at a time in place: the same roundings, one buffer fewer
-        u -= prev[idx]
-        u /= (masses / total)[idx]
-        u *= widths[idx]
-        u += bps[idx]
-        np.clip(u, 0.0, 1.0, out=u)
+        m = s.stop - s.start
+        sample(rng.random(out=x[s]), k[:m], j[:m], v[:m])
     return x
 
 
@@ -136,6 +198,19 @@ class HistogramReport:
     reference_masses: np.ndarray
     l1_distance_to_reference: float
     ks_statistic: float
+
+
+def noise_floor(reference_masses: np.ndarray, n: int) -> float:
+    """The expected binned L1 of n draws from the reference, sum_i
+    sqrt(2 r_i (1 - r_i) / (pi n)) over its bin masses r_i.
+
+    Bin i holds a binomial(n, r_i) count, near normal with standard
+    deviation sqrt(n r_i (1 - r_i)), whose mean absolute deviation is that
+    times sqrt(2/pi).  By Cauchy-Schwarz the sum is at most
+    sqrt(2 bins / (pi n)).
+    """
+    r = np.asarray(reference_masses, dtype=np.float64)
+    return float(np.sqrt(2.0 * r * (1.0 - r) / (np.pi * n)).sum())
 
 
 def _binned_l1(counts: np.ndarray, n: int, ref: np.ndarray) -> tuple[np.ndarray, float]:
@@ -205,14 +280,15 @@ def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 10
 
 
 def _stepper(system: EquippedSystem):
-    """One random branch step, ``step(x, coins)`` for points x in [0, 1].
+    """One random branch step, ``step(x, coins, k, y)``, of points x in [0, 1].
 
-    A point takes the first branch, cut at 1 - a, when its coin < alpha1(x),
-    else the second, cut at a; at or above its cut it maps to (x - a)/(1 - a),
-    else to x/(1 - a).  As a <= 1 - a, for coins in [0, 1) that high branch
-    is taken exactly when coin >= g(x), with g (a _lookup) = +inf on [0, a),
-    alpha1 on [a, 1 - a) and 0 on [1 - a, 1].  x - 0.0 is x, so subtracting
-    ``high * a`` gives the bits of both branches.
+    It moves x in place, with k (intp) and y (float64) of len(x) as
+    scratch.  A point takes the first branch, cut at 1 - a, when its coin <
+    alpha1(x), else the second, cut at a; at or above its cut it maps to
+    (x - a)/(1 - a), else to x/(1 - a).  As a <= 1 - a, for coins in [0, 1)
+    that high branch is taken exactly when coin >= g(x), with g (a _lookup)
+    = +inf on [0, a), alpha1 on [a, 1 - a) and 0 on [1 - a, 1].  x - 0.0 is
+    x, so subtracting ``high * a`` gives the bits of both branches.
     """
     a = float(system.a)
     w = 1.0 - a
@@ -222,19 +298,20 @@ def _stepper(system: EquippedSystem):
         lambda x: np.where(x < a, np.inf, np.where(x >= w, 0.0, vals[np.searchsorted(bps[:-1], x, side="right") - 1])),
     )
 
-    def step(x: np.ndarray, coins: np.ndarray) -> np.ndarray:
-        y = g(x)
-        np.multiply(coins >= y, a, out=y)  # high * a, in the thresholds' buffer
-        np.subtract(x, y, out=y)
-        y /= w
-        return np.clip(y, 0.0, 1.0, out=y)
+    def step(x: np.ndarray, coins: np.ndarray, k: np.ndarray, y: np.ndarray) -> np.ndarray:
+        np.greater_equal(coins, g(x, k, y), out=y)  # high, as 1.0 or 0.0 in the thresholds' buffer
+        y *= a
+        x -= y
+        x /= w
+        return np.clip(x, 0.0, 1.0, out=x)
 
     return step
 
 
 def _advance(x: np.ndarray, system: EquippedSystem, coins: np.ndarray) -> np.ndarray:
     """One random branch step of the points x in [0, 1] with their coins."""
-    return _stepper(system)(x, coins)
+    y = np.array(x, dtype=np.float64)
+    return _stepper(system)(y, coins, np.empty(len(y), dtype=np.intp), np.empty(len(y)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,6 +376,15 @@ def run_chain(
     invariant density).  Only the last step is reported in full; the
     start is not reported on unless no step is taken.
 
+    The points run in blocks of 32,768 on one worker thread per CPU the
+    process may use, at most one per block and one per 8 block-stages (the
+    calling thread is one of them): 10^5 points at 0 or 1 steps stay on
+    the calling thread.  Point i starts at draw i of the (seed, stream) Philox stream
+    and takes its coin for step t from draw t*n + i, so the output does not
+    depend on the number of workers.  The chain holds its n points, one
+    sorted copy of them for the final report and, for each worker, three
+    buffers of 32,768 values: about 16n bytes plus 0.75 MB per worker.
+
     Caveat for a = 1/2 in floats: both branches double the mantissa, so
     every orbit lands on dyadic rationals and collapses to 0 after about
     50 steps.  Keep such chains short; the effect is a float artifact,
@@ -311,30 +397,84 @@ def run_chain(
     if initial not in ("density", "uniform"):
         raise ValueError("initial must be 'density' or 'uniform'")
     fs = as_float_system(system)
-    rng = _rng(seed, stream)
-    if initial == "density":
-        x = _sample_with_rng(fs.density, n_samples, rng)
-    else:
-        x = rng.random(n_samples)
+    n = n_samples
+    key = _rng(seed, stream).bit_generator.state["state"]["key"]
+    sample = _sampler(fs.density) if initial == "density" else None
+    # stages 0..n_steps (0 the start, t > 0 step t) run in rounds, so that the
+    # bin counts of the intermediate steps held at once stay within _COUNTS
+    per_round, n_bins = 1, 0
     if n_steps:  # the bins, their reference masses and the branch step, once per chain
-        edges, _, ref = _binning(fs.density, bins, n_samples)
-        step_block = _stepper(fs)
-    else:
-        report = histogram_report(x, fs.density, bins)
-    distances = []
-    for step in range(n_steps):
-        last = step == n_steps - 1
-        counts = 0  # only the L1 figure of an intermediate step is kept
-        for s in _blocks(n_samples):  # each block draws its coins and steps in place
-            x[s] = step_block(x[s], rng.random(s.stop - s.start))
-            if not last:
-                counts = counts + np.histogram(x[s], bins=edges)[0]
-        if last:
-            report = histogram_report(x, fs.density, bins)
-            distances.append(report.l1_distance_to_reference)
-        else:
-            distances.append(_binned_l1(counts, n_samples, ref)[1])
-    return ChainReport(distances, report, x, n_samples, n_steps)
+        edges, _, ref = _binning(fs.density, bins, n)
+        step = _stepper(fs)
+        per_round, n_bins = max(1, _COUNTS // bins), bins
+    x = np.empty(n)
+    blocks = list(_blocks(n))
+    width = min(n, _BLOCK)
+    # each worker's generator and buffers, made here once per chain, so that
+    # no worker allocates a block-sized array (or grows its malloc arena)
+    kits = [
+        (np.random.Generator(np.random.Philox(key=key)), np.empty(width), np.empty(width, dtype=np.intp), np.empty(width))
+        for _ in range(_workers(len(blocks), n_steps + 1))
+    ]
+    lock = threading.Lock()
+
+    def carry(kit, todo, t0: int, t1: int, counts: np.ndarray) -> None:
+        """Carry each block left in ``todo`` through stages t0..t1 - 1, adding
+        its bin counts after step t < n_steps to counts[t - t0]."""
+        rng, coin_buf, k_buf, y_buf = kit
+        while True:
+            with lock:
+                s = next(todo, None)
+            if s is None:
+                return
+            xs = x[s]
+            m = len(xs)
+            coins, k, y = coin_buf[:m], k_buf[:m], y_buf[:m]
+            for t in range(t0, t1):
+                if t == 0:  # point i starts at draw i
+                    _draws(rng, s.start, xs)
+                    if sample is not None:  # the coins' buffer, free until step 1, holds the piece indices
+                        sample(xs, k, coins.view(np.intp)[:m], y)
+                    continue
+                step(xs, _draws(rng, t * n + s.start, coins), k, y)  # point i's coin at step t is draw t*n + i
+                if t < n_steps:  # np.histogram's counts, off a sorted copy in the coins' buffer
+                    coins[:] = xs
+                    coins.sort()
+                    below = np.append(coins.searchsorted(edges[:-1]), coins.searchsorted(edges[-1], side="right"))
+                    with lock:
+                        counts[t - t0] += np.diff(below)
+
+    errors = []
+
+    def helper(job, kit) -> None:
+        try:
+            job(kit)
+        except Exception as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    # plain threads: concurrent.futures would import logging, 0.75 MB of
+    # resident memory in every process that runs a chain
+    distances = []  # only the L1 figure of an intermediate step is kept
+    for t0 in range(0, n_steps + 1, per_round):
+        t1 = min(t0 + per_round, n_steps + 1)
+        counts = np.zeros((t1 - t0, n_bins), dtype=np.intp)
+        job = partial(carry, todo=iter(blocks), t0=t0, t1=t1, counts=counts)
+        helpers = [threading.Thread(target=helper, args=(job, kit)) for kit in kits[1:]]
+        for thread in helpers:
+            thread.start()
+        try:
+            job(kits[0])  # the calling thread is a worker too
+        finally:
+            for thread in helpers:
+                thread.join()
+        if errors:
+            raise errors[0]
+        distances += [_binned_l1(row, n, ref)[1] for row in counts[max(t0, 1) - t0 : min(t1, n_steps) - t0]]
+    del kits  # the workers' buffers go before the report's sorted copy comes
+    report = histogram_report(x, fs.density, bins)
+    if n_steps:
+        distances.append(report.l1_distance_to_reference)
+    return ChainReport(distances, report, x, n, n_steps)
 
 
 def write_sample_file(path, values) -> None:

@@ -71,12 +71,13 @@ def check_fill(fill, scalars: Backend) -> Scalar:
 class EquippedSystem:
     """Parameter a plus a weighting (p, alpha1) on one backend.
 
-    p is a nonnegative step density (not necessarily of unit mass) and
-    alpha1 maps into [0,1].  a, p and alpha1 may use at most one irrational
-    radicand between them.  The backend ``scalars`` and n = derive_n(a) are
-    derived.  Instances are frozen: assigning or deleting a field raises
-    ``AttributeError``.  Equality and hashing are field-wise, so an exact
-    system never equals a float one, and the comparison does not raise.
+    p is a finite nonnegative step density (not necessarily of unit mass)
+    and alpha1 maps into [0,1]; a NaN or an infinity in either raises.  a,
+    p and alpha1 may use at most one irrational radicand between them.  The
+    backend ``scalars`` and n = derive_n(a) are derived.  Instances are
+    frozen: assigning or deleting a field raises ``AttributeError``.
+    Equality and hashing are field-wise, so an exact system never equals a
+    float one, and the comparison does not raise.
     """
 
     scalars: Backend = field(init=False)  # first, so that exact == float is decided before any scalar is compared
@@ -97,6 +98,8 @@ class EquippedSystem:
         if alpha1.is_float != density.is_float:
             raise MixedBackendError("a, density and alpha1 must share one backend")
         n = derive_n(a)  # raises unless 0 < a <= 1/2
+        if b.is_float and not all(map(math.isfinite, density.values + alpha1.values)):
+            raise ValueError("density and alpha1 must be finite")  # min and max would skip a NaN
         if not density.is_nonnegative():
             raise ValueError("density must be nonnegative")
         if alpha1.min_value < b.zero or alpha1.max_value > b.one:

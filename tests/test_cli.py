@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import shutil
@@ -605,6 +606,31 @@ class TestSimulate:
         rep = json.loads(report.read_text())
         assert len(rep["step_distances"]) == 3
         assert rep["l1_distance_to_reference"] < 0.2
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_report_states_the_noise_floor(self, tmp_path, capsys, steps):
+        # an invariant density's draws are iid from it after any number of
+        # steps, so the seeded L1 sits near the floor; the floor is at most
+        # sqrt(2 bins / (pi n)), and the summary line keeps its shape
+        path = write_system(tmp_path, golden_system())
+        report = tmp_path / "report.json"
+        argv = ["simulate", path, "--samples", "100000", "--seed", "21", "--steps", str(steps), "--bins", "50"]
+        assert main([*argv, "--report", str(report)]) == 0
+        rep = json.loads(report.read_text())
+        floor = rep["noise_floor"]
+        assert 0 < floor <= math.sqrt(2 * 50 / (math.pi * 100_000))
+        assert 0.5 < rep["l1_distance_to_reference"] / floor < 2
+        assert capsys.readouterr().out.endswith(f"ks={rep['ks_statistic']:.6f}\n")
+
+    @pytest.mark.parametrize(("samples", "bins"), [(1, 1), (1000, 7), (100_000, 100)])
+    def test_noise_floor_of_a_uniform_density_is_the_closed_form(self, tmp_path, samples, bins):
+        # every bin holds mass 1/bins, so the floor is sqrt(2 (bins - 1) / (pi n))
+        system = EquippedSystem(0.5, StepFunction.constant(1.0), StepFunction.constant(0.5))
+        report = tmp_path / "report.json"
+        argv = ["simulate", write_system(tmp_path, system), "--samples", str(samples), "--seed", "2"]
+        assert main([*argv, "--bins", str(bins), "--report", str(report)]) == 0
+        closed = math.sqrt(2 * (bins - 1) / (math.pi * samples))
+        assert json.loads(report.read_text())["noise_floor"] == pytest.approx(closed, rel=1e-12, abs=1e-300)
 
     def test_steps_past_the_cap_exit_two_fast(self, tmp_path, capsys):
         path = write_system(tmp_path, golden_system())

@@ -533,10 +533,12 @@ class TestFloatBackend:
         ids=["constant", "one-piece"],
     )
     def test_infinite_density_still_fails(self, density):
-        # sup|p| = inf would make the relative tolerance inf; the default stays 1e-10
+        # sup|p| = inf would make the relative tolerance inf; the default stays
+        # 1e-10, and a system with such a density is refused when it is built
         s = as_float_system(lebesgue_family(3))
         assert criterion._tolerance(density.scalars, None, density) == 1e-10
-        assert not check_invariance_conditions(EquippedSystem(s.a, density, s.alpha1)).passed
+        with pytest.raises(ValueError, match="^density and alpha1 must be finite$"):
+            EquippedSystem(s.a, density, s.alpha1)
 
     def test_density_beyond_double_range_sums_raise_nothing(self):
         # sizes -p/(1-a) overflow and level sums pass the double range

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from twoval.simulate import (
     OneStepReport,
     _advance,
     _count_le,
+    _draws,
     histogram_report,
     one_step_stationarity_test,
     read_sample_file,
@@ -249,7 +252,7 @@ class TestRunChain:
     def no_step(self, monkeypatch):
         """run_chain's per-block branch step, made to fail if it runs."""
 
-        def step(x, coins):
+        def step(*args):
             raise AssertionError("a branch step ran")
 
         monkeypatch.setattr(twoval.simulate, "_stepper", lambda system: step)
@@ -432,7 +435,7 @@ ORACLE_SYSTEMS = {
 
 
 #: the points per block of the Monte Carlo kernels
-BLOCK = 65_536
+BLOCK = 32_768
 
 
 def assert_chain_matches_reference(fs: EquippedSystem, n: int, max_steps: int):
@@ -490,6 +493,159 @@ class TestBranchThresholds:
         assert _advance(x, fs, coins).tobytes() == ref_advance(x, fs, coins).tobytes()
 
 
+def serial_chain(fs: EquippedSystem, n: int, max_steps: int, seed: int, stream: int, initial: str) -> list:
+    """The points at steps 0..max_steps of the serial chain loop that
+    run_chain replaced, written with the reference formulas: the start, then
+    each step's coins, drawn in order from one generator, all n points a
+    step before the next."""
+    rng = ref_rng(seed, stream)
+    xs = [ref_sample(fs.density, n, rng) if initial == "density" else rng.random(n)]
+    for _ in range(max_steps):
+        xs.append(ref_advance(xs[-1], fs, rng.random(n)))
+    return xs
+
+
+class TestParallelChain:
+    """run_chain carries each block through all its steps on a worker, each
+    draw taken from its place in the one stream: the bytes do not depend on
+    the number of workers."""
+
+    @pytest.mark.parametrize(("seed", "stream"), [(19, 3), (2**32 - 1, 0)])
+    @pytest.mark.parametrize("initial", ["density", "uniform"])
+    @pytest.mark.parametrize("n", [1, 3, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 100_003])
+    def test_any_worker_count_gives_the_serial_chain(self, monkeypatch, n, initial, seed, stream):
+        fs = as_float_system(ORACLE_SYSTEMS["nc3-float"]())
+        xs = serial_chain(fs, n, 3, seed, stream, initial)
+        reports = [ref_histogram(x, fs.density, 20) for x in xs]
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(twoval.simulate, "_workers", lambda *args, _w=workers: _w)
+            for steps in range(4):
+                rep = run_chain(fs, n, steps, seed, bins=20, stream=stream, initial=initial)
+                assert rep.final_values.tobytes() == xs[steps].tobytes()
+                assert rep.step_distances == [r[2] for r in reports[1 : steps + 1]]
+                assert rep.final.bin_masses.tobytes() == reports[steps][0].tobytes()
+                assert rep.final.ks_statistic == reports[steps][3]
+
+    def test_counts_held_in_rounds_of_steps(self, monkeypatch):
+        # 12 bins and _COUNTS = 4,096 give rounds of 341 stages (the start
+        # and 700 steps take three), and one block leaves a worker idle
+        fs = as_float_system(ORACLE_SYSTEMS["golden-exact"]())
+        monkeypatch.setattr(twoval.simulate, "_workers", lambda *args: 2)
+        rep = run_chain(fs, 40, 700, 5, bins=12, stream=1)
+        xs = serial_chain(fs, 40, 700, 5, 1, "density")
+        assert rep.final_values.tobytes() == xs[-1].tobytes()
+        assert rep.step_distances == [ref_histogram(x, fs.density, 12)[2] for x in xs[1:]]
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        ("blocks", "stages", "workers"),
+        [(1, 10**6, 1), (4, 1, 1), (4, 2, 1), (4, 6, 3), (31, 1, 3), (31, 2, 4), (2, 21, 2)],
+    )
+    def test_one_per_cpu_block_and_eight_block_stages(self, monkeypatch, blocks, stages, workers):
+        # 10^5 points are 4 blocks: at 0 or 1 steps the chain stays on the calling thread
+        monkeypatch.setattr(twoval.simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert twoval.simulate._workers(blocks, stages) == workers
+
+
+class TestPositionedDraws:
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 6, 7, 101, 3 * BLOCK + 2])
+    def test_draws_from_d_are_one_stream_from_d(self, d):
+        want = ref_rng(7, 3).random(d + 40)[d:]
+        rng = ref_rng(7, 3)
+        rng.random(13)  # what was drawn before does not matter
+        assert _draws(rng, d, np.empty(40)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("counter", [2**64 - 1, 2**64 + 5, 2**128 - 1, 2**192 + 2**64 - 1])
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3])
+    def test_counters_past_one_word_carry(self, counter, offset):
+        # 40 draws from counter 2^64 - 1 cross into the second word as they go
+        want = ref_rng(7, 3)
+        want.bit_generator.advance(counter)
+        want.bit_generator.random_raw(offset)
+        got = _draws(ref_rng(7, 3), 4 * counter + offset, np.empty(40))
+        assert got.tobytes() == want.random(40).tobytes()
+
+
+class TestThreads:
+    @pytest.fixture
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(twoval.simulate, "_workers", lambda *args: 3)
+
+    def test_workers_call_nothing_the_tracer_wraps(self, monkeypatch, three_workers):
+        # perfbench/tracing.py wraps these names, and its span stack is not thread-safe
+        for name in ("_sample_with_rng", "sample_from_density", "histogram_report", "run_chain"):
+
+            def on_main_thread(*args, _real=getattr(twoval.simulate, name), **kwargs):
+                assert threading.current_thread() is threading.main_thread()
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(twoval.simulate, name, on_main_thread)
+        helper_drew = threading.Event()
+
+        def draws(*args, _real=twoval.simulate._draws):
+            if threading.current_thread() is threading.main_thread():
+                helper_drew.wait(timeout=30)  # so that a helper takes a block
+            else:
+                helper_drew.set()
+            return _real(*args)
+
+        monkeypatch.setattr(twoval.simulate, "_draws", draws)
+        for initial in ("density", "uniform"):
+            for steps in (0, 1, 3):
+                twoval.simulate.run_chain(golden_system(), 3 * BLOCK + 17, steps, seed=2, initial=initial)
+        twoval.simulate.one_step_stationarity_test(golden_system(), 2 * BLOCK + 1, seed=3)
+        assert helper_drew.is_set()
+
+    def test_many_workers_on_small_blocks_lose_no_block_and_no_count(self, monkeypatch):
+        # more workers than CPUs, 64-point blocks and a switch interval of a
+        # microsecond: a block taken twice or skipped changes the points, and
+        # a lost count update changes a step distance
+        monkeypatch.setattr(twoval.simulate, "_BLOCK", 64)
+        monkeypatch.setattr(twoval.simulate, "_workers", lambda *args: 8)
+        fs = as_float_system(ORACLE_SYSTEMS["control"]())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = run_chain(fs, 64 * 60 + 7, 4, 8, bins=10)
+        finally:
+            sys.setswitchinterval(interval)
+        xs = serial_chain(fs, 64 * 60 + 7, 4, 8, 0, "density")
+        assert rep.final_values.tobytes() == xs[-1].tobytes()
+        assert rep.step_distances == [ref_histogram(x, fs.density, 10)[2] for x in xs[1:]]
+
+    def test_no_thread_outlives_a_chain(self, three_workers):
+        before = threading.active_count()
+        run_chain(golden_system(), 3 * BLOCK + 17, 2, seed=4)
+        assert threading.active_count() == before
+
+    def test_one_step_build_per_chain(self, monkeypatch, three_workers):
+        builds = []
+
+        def counted(system, _real=twoval.simulate._stepper):
+            builds.append(system)
+            return _real(system)
+
+        monkeypatch.setattr(twoval.simulate, "_stepper", counted)
+        run_chain(golden_system(), 3 * BLOCK + 17, 4, seed=6)
+        assert len(builds) == 1
+
+    def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch, three_workers):
+        helper_ran = threading.Event()
+
+        def step(*args):
+            if threading.current_thread() is threading.main_thread():
+                helper_ran.wait(timeout=30)  # so that a helper takes a block
+            else:
+                helper_ran.set()
+                raise AssertionError("a helper's step ran")
+
+        monkeypatch.setattr(twoval.simulate, "_stepper", lambda system: step)
+        with pytest.raises(AssertionError, match="a helper's step ran"):
+            run_chain(golden_system(), 3 * BLOCK, 1, seed=1)
+        assert helper_ran.is_set()
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("n", [10_000, 200_000])
     @pytest.mark.parametrize("tag", list(ORACLE_SYSTEMS))
@@ -506,7 +662,7 @@ class TestByteIdentity:
         # against the uniform F(x) = x, the i-th smallest of (i + 1/2)/n sits
         # 1/(2n) from both F_n steps; moving the first value of the second
         # block up makes F - F_n peak on it against the last step of the first
-        # block, 65,536/n; moving the value before it down makes F_n - F peak
+        # block, 32,768/n; moving the value before it down makes F_n - F peak
         # there, on the same step
         n = 2 * BLOCK + 5
         values = (np.arange(n) + 0.5) / n
@@ -570,6 +726,22 @@ class TestMemory:
         run_chain(fs, 1_000, 3, seed=1)
         # the points and one sorted copy for a report
         assert peak_arrays(lambda: run_chain(fs, self.N, 3, seed=2), self.N) <= 2.5
+
+    def test_four_workers_hold_at_most_half_an_array_of_n(self, monkeypatch):
+        # before the final report the chain holds its points and, per worker,
+        # three buffers of 32,768 values: 0.39 arrays of n at four workers
+        seen = []
+
+        def report(values, *args, _real=twoval.simulate.histogram_report):
+            seen.append(tracemalloc.get_traced_memory()[1])
+            return _real(values, *args)
+
+        monkeypatch.setattr(twoval.simulate, "histogram_report", report)
+        monkeypatch.setattr(twoval.simulate, "_workers", lambda *args: 4)
+        fs = as_float_system(golden_system())
+        run_chain(fs, 1_000, 3, seed=1)
+        peak_arrays(lambda: run_chain(fs, self.N, 3, seed=2), self.N)
+        assert seen[-1] / (8 * self.N) - 1.0 <= 0.5
 
     def test_sampler_holds_one_array_of_n(self):
         density = as_float_system(golden_system()).density

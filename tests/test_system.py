@@ -256,6 +256,26 @@ class TestEquippedSystem:
         with pytest.raises(MixedBackendError):
             EquippedSystem(Fraction(1, 4), p, StepFunction.constant(0.5))
 
+    @pytest.mark.parametrize("where", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["density", "alpha1"])
+    def test_non_finite_float_values_rejected(self, field, bad, where):
+        # a NaN that is not first slips past min and max, and so past the
+        # range checks; the CLI's JSON reader rejects these before any system
+        values = [0.5, 0.5]
+        values[where] = bad
+        parts = {"density": StepFunction.constant(1.0), "alpha1": StepFunction.constant(0.5)}
+        parts[field] = StepFunction([0.0, 0.5, 1.0], values)
+        with pytest.raises(ValueError, match="^density and alpha1 must be finite$"):
+            EquippedSystem(0.3, parts["density"], parts["alpha1"])
+
+    def test_nan_after_the_first_alpha1_value_rejected(self):
+        assert max([0.5, math.nan]) == 0.5 and min([0.5, math.nan]) == 0.5
+        with pytest.raises(ValueError, match="must be finite"):
+            EquippedSystem(0.3, StepFunction.constant(1.0), StepFunction([0, 0.5, 1], [0.5, math.nan]))
+        with pytest.raises(ValueError, match="must be finite"):
+            EquippedSystem(0.3, StepFunction([0, 0.5, 1], [1.0, math.nan]), StepFunction.constant(0.5))
+
     def test_mixed_radicands_rejected(self):
         a = Fraction(1, 2) - Fraction(1, 10) * Surd(0, 1, 2)
         p = StepFunction.constant(1 + Surd(0, Fraction(1, 10), 5))
