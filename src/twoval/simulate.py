@@ -15,12 +15,12 @@ The sampler and the reports walk the points in fixed blocks of 32,768
 per call or chain.  Draws come block by block from the one stream, which
 gives the same numbers as one large draw, so the output does not depend on
 the block size.  ``run_chain`` runs its blocks on every CPU the process may
-use, when it has the work for them (``_workers``): each worker carries a
-block through the start and all steps, taking each draw from its fixed
-place in the stream (``_draws``), so every output byte is the same at any
-CPU count.  A chain reports in full only on its final points: it holds its
-n points and, for that report, one sorted copy, about 16n bytes, plus three
-block buffers per worker.
+use, when it has the work for them (``_workers``): each worker carries its
+own blocks through the start and all steps, into its own counts, taking
+each draw from its fixed place in the stream (``_draws``), so every output
+byte is the same at any CPU count.  A chain reports in full only on its
+final points: it holds its n points and, for that report, one sorted copy,
+about 16n bytes, plus three block buffers per worker.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ _BLOCK = 32768
 #: block-stages, ran about 10% slower at their fastest on two threads)
 _PER_WORKER = 8
 
-#: the most bin counts a chain holds per round of steps (see run_chain)
+#: the most bin counts a worker holds per round of steps (see run_chain): W
+#: workers hold W * max(_COUNTS, bins), 64 KB at 2 workers and 100 bins
 _COUNTS = 4096
 
 #: one 64-bit word of Philox's 256-bit counter
@@ -135,11 +136,6 @@ def _lookup(edges: np.ndarray, exact=None):
     return lookup
 
 
-def _count_le(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(edges, x, side="right")`` for keys x in [0, 1]."""
-    return _lookup(edges)(x, np.empty(len(x), dtype=np.intp), np.empty(len(x), dtype=np.intp))
-
-
 def _sampler(density: StepFunction):
     """Inverse-CDF sampling of a step density, ``sample(u, k, j, v)``.
 
@@ -220,6 +216,11 @@ def _binned_l1(counts: np.ndarray, n: int, ref: np.ndarray) -> tuple[np.ndarray,
     return emp, float(np.abs(emp - ref).sum())
 
 
+def _bin_counts(xs: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.histogram's counts of the ascending values xs: bins [e_i, e_i+1), the last closed."""
+    return np.diff(np.append(xs.searchsorted(edges[:-1]), xs.searchsorted(edges[-1], side="right")))
+
+
 def _binning(reference: StepFunction, bins: int, n: int):
     """The bin edges, the reference CDF and its mass in each bin, for a
     report on n values."""
@@ -264,9 +265,7 @@ def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 10
     n = len(values)
     edges, cdf, ref = _binning(reference, bins, n)
     xs = np.sort(values)
-    # np.histogram's counts off the sorted values: bins [e_i, e_i+1), the last closed
-    below = np.append(np.searchsorted(xs, edges[:-1]), np.searchsorted(xs, edges[-1], side="right"))
-    emp, l1 = _binned_l1(np.diff(below), n, ref)
+    emp, l1 = _binned_l1(_bin_counts(xs, edges), n, ref)
     # KS = sup |F_n - F| over the sorted values, with F taken in place: F_n
     # steps from (i - 1)/n to i/n at the i-th smallest value
     d_minus = d_plus = -np.inf
@@ -306,12 +305,6 @@ def _stepper(system: EquippedSystem):
         return np.clip(x, 0.0, 1.0, out=x)
 
     return step
-
-
-def _advance(x: np.ndarray, system: EquippedSystem, coins: np.ndarray) -> np.ndarray:
-    """One random branch step of the points x in [0, 1] with their coins."""
-    y = np.array(x, dtype=np.float64)
-    return _stepper(system)(y, coins, np.empty(len(y), dtype=np.intp), np.empty(len(y)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,14 +369,17 @@ def run_chain(
     invariant density).  Only the last step is reported in full; the
     start is not reported on unless no step is taken.
 
-    The points run in blocks of 32,768 on one worker thread per CPU the
-    process may use, at most one per block and one per 8 block-stages (the
-    calling thread is one of them): 10^5 points at 0 or 1 steps stay on
-    the calling thread.  Point i starts at draw i of the (seed, stream) Philox stream
-    and takes its coin for step t from draw t*n + i, so the output does not
-    depend on the number of workers.  The chain holds its n points, one
-    sorted copy of them for the final report and, for each worker, three
-    buffers of 32,768 values: about 16n bytes plus 0.75 MB per worker.
+    The points run in blocks of 32,768 on W worker threads: one per CPU
+    the process may use, at most one per block and one per 8 block-stages,
+    so 10^5 points at 0 or 1 steps stay on the calling thread (worker 0).
+    Worker j carries blocks j, j + W, ... into its own row of counts and
+    its own error slot; the calling thread sums the rows and raises an
+    error once all have joined.  Point i starts at draw i of the (seed,
+    stream) Philox stream and takes its coin for step t from draw t*n + i,
+    so the output does not depend on W.  The chain holds its n points, one
+    sorted copy for the final report and, per worker, three 32,768-value
+    buffers and at most max(4,096, bins) counts: about 16n bytes plus
+    0.75 MB per worker.
 
     Caveat for a = 1/2 in floats: both branches double the mantissa, so
     every orbit lands on dyadic rationals and collapses to 0 after about
@@ -401,7 +397,7 @@ def run_chain(
     key = _rng(seed, stream).bit_generator.state["state"]["key"]
     sample = _sampler(fs.density) if initial == "density" else None
     # stages 0..n_steps (0 the start, t > 0 step t) run in rounds, so that the
-    # bin counts of the intermediate steps held at once stay within _COUNTS
+    # bin counts of the intermediate steps a worker holds stay within _COUNTS
     per_round, n_bins = 1, 0
     if n_steps:  # the bins, their reference masses and the branch step, once per chain
         edges, _, ref = _binning(fs.density, bins, n)
@@ -416,60 +412,49 @@ def run_chain(
         (np.random.Generator(np.random.Philox(key=key)), np.empty(width), np.empty(width, dtype=np.intp), np.empty(width))
         for _ in range(_workers(len(blocks), n_steps + 1))
     ]
-    lock = threading.Lock()
+    errors = [None] * len(kits)
 
-    def carry(kit, todo, t0: int, t1: int, counts: np.ndarray) -> None:
-        """Carry each block left in ``todo`` through stages t0..t1 - 1, adding
-        its bin counts after step t < n_steps to counts[t - t0]."""
-        rng, coin_buf, k_buf, y_buf = kit
-        while True:
-            with lock:
-                s = next(todo, None)
-            if s is None:
-                return
-            xs = x[s]
-            m = len(xs)
-            coins, k, y = coin_buf[:m], k_buf[:m], y_buf[:m]
-            for t in range(t0, t1):
-                if t == 0:  # point i starts at draw i
-                    _draws(rng, s.start, xs)
-                    if sample is not None:  # the coins' buffer, free until step 1, holds the piece indices
-                        sample(xs, k, coins.view(np.intp)[:m], y)
-                    continue
-                step(xs, _draws(rng, t * n + s.start, coins), k, y)  # point i's coin at step t is draw t*n + i
-                if t < n_steps:  # np.histogram's counts, off a sorted copy in the coins' buffer
-                    coins[:] = xs
-                    coins.sort()
-                    below = np.append(coins.searchsorted(edges[:-1]), coins.searchsorted(edges[-1], side="right"))
-                    with lock:
-                        counts[t - t0] += np.diff(below)
-
-    errors = []
-
-    def helper(job, kit) -> None:
+    def carry(j: int, t0: int, t1: int, counts: np.ndarray) -> None:
+        """Carry blocks j, j + W, j + 2W, ... (W workers) through stages
+        t0..t1 - 1, adding their bin counts after step t < n_steps to
+        counts[j, t - t0]; an error goes to errors[j]."""
+        rng, coin_buf, k_buf, y_buf = kits[j]
         try:
-            job(kit)
-        except Exception as exc:  # raised again in the calling thread
-            errors.append(exc)
+            for s in blocks[j :: len(kits)]:
+                xs = x[s]
+                m = len(xs)
+                coins, k, y = coin_buf[:m], k_buf[:m], y_buf[:m]
+                for t in range(t0, t1):
+                    if t == 0:  # point i starts at draw i
+                        _draws(rng, s.start, xs)
+                        if sample is not None:  # the coins' buffer, free until step 1, holds the piece indices
+                            sample(xs, k, coins.view(np.intp)[:m], y)
+                        continue
+                    step(xs, _draws(rng, t * n + s.start, coins), k, y)  # point i's coin at step t is draw t*n + i
+                    if t < n_steps:  # off a sorted copy in the coins' buffer
+                        coins[:] = xs
+                        coins.sort()
+                        counts[j, t - t0] += _bin_counts(coins, edges)
+        except Exception as exc:  # raised in the calling thread after the join
+            errors[j] = exc
 
     # plain threads: concurrent.futures would import logging, 0.75 MB of
     # resident memory in every process that runs a chain
     distances = []  # only the L1 figure of an intermediate step is kept
     for t0 in range(0, n_steps + 1, per_round):
         t1 = min(t0 + per_round, n_steps + 1)
-        counts = np.zeros((t1 - t0, n_bins), dtype=np.intp)
-        job = partial(carry, todo=iter(blocks), t0=t0, t1=t1, counts=counts)
-        helpers = [threading.Thread(target=helper, args=(job, kit)) for kit in kits[1:]]
-        for thread in helpers:
+        counts = np.zeros((len(kits), t1 - t0, n_bins), dtype=np.intp)
+        threads = [threading.Thread(target=carry, args=(j, t0, t1, counts)) for j in range(1, len(kits))]
+        for thread in threads:
             thread.start()
         try:
-            job(kits[0])  # the calling thread is a worker too
-        finally:
-            for thread in helpers:
+            carry(0, t0, t1, counts)  # the calling thread is worker 0
+        finally:  # on a KeyboardInterrupt too, so that no worker outlives the chain
+            for thread in threads:
                 thread.join()
-        if errors:
-            raise errors[0]
-        distances += [_binned_l1(row, n, ref)[1] for row in counts[max(t0, 1) - t0 : min(t1, n_steps) - t0]]
+        for exc in filter(None, errors):
+            raise exc
+        distances += [_binned_l1(row, n, ref)[1] for row in counts.sum(axis=0)[max(t0, 1) - t0 : min(t1, n_steps) - t0]]
     del kits  # the workers' buffers go before the report's sorted copy comes
     report = histogram_report(x, fs.density, bins)
     if n_steps:
@@ -480,6 +465,8 @@ def run_chain(
 def write_sample_file(path, values) -> None:
     """Binary sample export: 8-byte little-endian count, then float64 LE values."""
     arr = np.ascontiguousarray(np.asarray(values, dtype="<f8"))
+    if arr.ndim != 1:
+        raise ValueError(f"sample values must be one-dimensional, not of shape {arr.shape}")
     with open(path, "wb") as fh:
         fh.write(len(arr).to_bytes(8, "little"))
         fh.write(arr)  # from the array's own buffer, not a bytes copy

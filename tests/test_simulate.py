@@ -1,5 +1,7 @@
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -16,9 +18,9 @@ from twoval.simulate import (
     ChainReport,
     HistogramReport,
     OneStepReport,
-    _advance,
-    _count_le,
     _draws,
+    _lookup,
+    _stepper,
     histogram_report,
     one_step_stationarity_test,
     read_sample_file,
@@ -28,6 +30,7 @@ from twoval.simulate import (
 )
 from twoval.system import EquippedSystem, as_float_system
 
+from test_cli import _child_env
 from test_system import golden_system
 
 UNIFORM = StepFunction.constant(1.0)
@@ -323,8 +326,21 @@ class TestSampleFile:
         with pytest.raises(ValueError, match=f"payload does not match count {2**62}"):
             read_sample_file(path)
 
+    @pytest.mark.parametrize("values", [np.zeros((3, 2)), np.zeros((1, 4)), np.zeros((2, 0))], ids=["3x2", "1x4", "2x0"])
+    def test_values_not_one_dimensional_refused_before_the_file_opens(self, tmp_path, values):
+        # a count of len(values) over values.size doubles would not read back
+        path = tmp_path / "flat.bin"
+        with pytest.raises(ValueError, match=r"^sample values must be one-dimensional, not of shape \("):
+            write_sample_file(path, values)
+        assert not path.exists()
 
-# -- _count_le against np.searchsorted ---------------------------------------
+
+# -- the count table of _lookup against np.searchsorted ----------------------
+
+
+def count_le(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, x, side="right")`` for keys x in [0, 1], off _lookup's default table."""
+    return _lookup(edges)(x, np.empty(len(x), dtype=np.intp), np.empty(len(x), dtype=np.intp))
 
 
 @st.composite
@@ -355,12 +371,12 @@ class TestCountLe:
     @given(ascending_edges(), st.integers(0, 2**32 - 1))
     def test_matches_searchsorted(self, edges, seed):
         keys = np.concatenate((keys_around(edges), np.random.default_rng(seed).random(200)))
-        assert np.array_equal(_count_le(edges, keys), np.searchsorted(edges, keys, side="right"))
+        assert np.array_equal(count_le(edges, keys), np.searchsorted(edges, keys, side="right"))
 
     def test_many_edges_in_one_cell(self):
         edges = np.sort(np.random.default_rng(1).random(10_000))
         keys = np.concatenate((keys_around(edges), np.random.default_rng(2).random(10_000)))
-        assert np.array_equal(_count_le(edges, keys), np.searchsorted(edges, keys, side="right"))
+        assert np.array_equal(count_le(edges, keys), np.searchsorted(edges, keys, side="right"))
 
 
 # -- byte identity with the binary-search formulas ---------------------------
@@ -415,6 +431,12 @@ def ref_histogram(values, density: StepFunction, bins: int = 100):
     i = np.arange(1, n + 1)
     ks = float(max((i / n - f).max(), (f - (i - 1) / n).max()))
     return emp, ref, float(np.abs(emp - ref).sum()), ks
+
+
+def advance(x, system: EquippedSystem, coins):
+    """One random branch step of a copy of the points x in [0, 1] with their coins, by _stepper."""
+    y = np.array(x, dtype=np.float64)
+    return _stepper(system)(y, coins, np.empty(len(y), dtype=np.intp), np.empty(len(y)))
 
 
 def ref_advance(x, system: EquippedSystem, coins):
@@ -490,7 +512,7 @@ class TestBranchThresholds:
         alpha = ref_eval_step(bps, vals, keys)
         x = np.tile(keys, 4)
         coins = np.concatenate((rng.random(len(keys)), alpha, np.nextafter(alpha, 0.0), np.zeros(len(keys))))
-        assert _advance(x, fs, coins).tobytes() == ref_advance(x, fs, coins).tobytes()
+        assert advance(x, fs, coins).tobytes() == ref_advance(x, fs, coins).tobytes()
 
 
 def serial_chain(fs: EquippedSystem, n: int, max_steps: int, seed: int, stream: int, initial: str) -> list:
@@ -645,6 +667,47 @@ class TestThreads:
             run_chain(golden_system(), 3 * BLOCK, 1, seed=1)
         assert helper_ran.is_set()
 
+    def test_an_error_in_the_calling_threads_block_is_raised_after_every_helper_joins(self, monkeypatch, three_workers):
+        # the calling thread's step raises at once, and only then do the
+        # helpers take theirs, each after a pause: a caller that raised before
+        # the join would leave them running
+        raised = threading.Event()
+        finished = []
+
+        def stepper(system, _real=twoval.simulate._stepper):
+            step = _real(system)
+
+            def on_thread(*args):
+                if threading.current_thread() is threading.main_thread():
+                    raised.set()
+                    raise AssertionError("the calling thread's step ran")
+                raised.wait(timeout=30)
+                time.sleep(0.05)
+                finished.append(step(*args))
+
+            return on_thread
+
+        monkeypatch.setattr(twoval.simulate, "_stepper", stepper)
+        before = threading.active_count()
+        with pytest.raises(AssertionError, match="the calling thread's step ran"):
+            run_chain(golden_system(), 3 * BLOCK, 1, seed=1)
+        assert len(finished) == 2
+        assert threading.active_count() == before
+
+    def test_a_chain_loads_neither_logging_nor_concurrent_futures(self):
+        # plain threads: concurrent.futures imports logging, 0.75 MB of
+        # resident memory in every process that runs a chain
+        code = (
+            "import sys, twoval.simulate as simulate\n"
+            "from twoval.families import nonconstant_family\n"
+            "simulate._workers = lambda *args: 2\n"
+            "simulate.run_chain(nonconstant_family(2, 3, 5), 2 * 32768, 2, seed=1)\n"
+            "loaded = sorted({'logging', 'concurrent.futures'} & sys.modules.keys())\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestByteIdentity:
     @pytest.mark.parametrize("n", [10_000, 200_000])
@@ -721,7 +784,10 @@ class TestMemory:
 
     N = 10**6
 
-    def test_chain_holds_at_most_two_and_a_half_arrays_of_n(self):
+    def test_chain_holds_at_most_two_and_a_half_arrays_of_n(self, monkeypatch):
+        # on two CPUs, so that the per-worker buffers (0.10 arrays each, gated
+        # below) do not grow the peak with the machine's CPU count
+        monkeypatch.setattr(twoval.simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         fs = as_float_system(golden_system())
         run_chain(fs, 1_000, 3, seed=1)
         # the points and one sorted copy for a report

@@ -24,7 +24,7 @@ from twoval import cli, numerics
 from twoval.families import _family_parameter, nonconstant_family
 from twoval.numerics import EXACT, Interval, MixedBackendError, MixedRadicandError, ParseError, Surd
 from twoval.piecewise import StepFunction, combine, step_to_json_dict
-from twoval.simulate import _advance
+from twoval.simulate import _stepper
 from twoval.system import (
     EquippedSystem,
     as_float_system,
@@ -195,7 +195,7 @@ def branch_step(a, first: bool, xs) -> np.ndarray:
     p = StepFunction.constant(1)
     system = EquippedSystem(a, p, StepFunction.constant(1 if first else 0))
     xs = np.array([float(x) for x in xs])
-    return _advance(xs, system, np.zeros(len(xs)))
+    return _stepper(system)(xs, np.zeros(len(xs)), np.empty(len(xs), dtype=np.intp), np.empty(len(xs)))
 
 
 class TestBranchMaps:
