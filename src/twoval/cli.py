@@ -49,7 +49,7 @@ def _scalar_option(flag: str, text, is_float: bool):
     if text is None:
         return None
     try:
-        x = parse_scalar(text) if "sqrt" in text else Fraction(text.replace(" ", ""))
+        x = parse_scalar(text) if "sqrt" in text or "_" in text else Fraction(text.replace(" ", ""))
         return float(x) if is_float else x
     except (ValueError, ArithmeticError):
         raise ValueError(f"{flag} needs a finite number, got {_echo(text)}") from None

@@ -120,7 +120,7 @@ def _tolerance(scalars: Backend, tol, p: StepFunction | None = None) -> Scalar:
     """The verdict tolerance on the backend, its default when omitted; given
     p, the float default is relative to sup|p| where that is finite."""
     if tol is None:
-        sup = max_or_nan([abs(v) for v in p.values]) if p is not None and scalars.is_float else math.inf
+        sup = p.sup_norm() if p is not None and scalars.is_float else math.inf
         return scalars.tol * sup if math.isfinite(sup) else scalars.tol
     tol = scalars(tol)
     if not tol >= scalars.zero:

@@ -10,17 +10,18 @@ All randomness flows through a counter-based Philox generator keyed by
 (seed, stream), so runs are reproducible and independent streams are
 cheap to construct.
 
-The sampler and the reports walk the points in fixed blocks of 32,768
+The sampler and the reports walk the points in blocks of at most 32,768
 (``_blocks``), and build the lookup tables they read (``_lookup``) once
 per call or chain.  Draws come block by block from the one stream, which
 gives the same numbers as one large draw, so the output does not depend on
-the block size.  ``run_chain`` runs its blocks on every CPU the process may
-use, when it has the work for them (``_workers``): each worker carries its
-own blocks through the start and all steps, into its own counts, taking
-each draw from its fixed place in the stream (``_draws``), so every output
-byte is the same at any CPU count.  A chain reports in full only on its
-final points: it holds its n points and, for that report, one sorted copy,
-about 16n bytes, plus three block buffers per worker.
+the block size.  ``run_chain`` splits its points into one contiguous span
+per CPU the process may use, when it has a block for each (``_workers``):
+each worker carries its span, block by block, through the start and all
+steps, into its own counts, taking each draw from its fixed place in the
+stream (``_draws``), so every output byte is the same at any CPU count.  A
+chain reports in full only on its final points: it holds its n points and,
+for that report, one sorted copy, about 16n bytes, plus three buffers per
+worker of at most a block each: at most about 3n values at any CPU count.
 """
 
 from __future__ import annotations
@@ -37,18 +38,12 @@ from .system import EquippedSystem, as_float_system
 
 #: the longest chain run_chain takes; at 10^4 samples (one block, so one
 #: worker) that many steps run about 3-8 min on a 2-vCPU Xeon, where 4,000
-#: of them take 0.76 s, as they did on one thread at 65,536-point blocks
+#: of them take 0.76 s
 _MAX_STEPS = 10**6
 
-#: points per block: the kernels work block by block, so their temporaries
-#: take a fixed few MB at any n, and a chain's blocks are its units of work
+#: the most points per block: the kernels work block by block, so their
+#: temporaries take a fixed few MB at any n
 _BLOCK = 32768
-
-#: the fewest block-stages (a block's start or one of its steps, 0.3-0.6 ms
-#: each) a chain starts a worker for: a new thread costs more than it saves
-#: on less (on a 2-vCPU VM, 10^5-point chains of 0 or 1 steps, 4 and 8
-#: block-stages, ran about 10% slower at their fastest on two threads)
-_PER_WORKER = 8
 
 #: the most bin counts a worker holds per round of steps (see run_chain): W
 #: workers hold W * max(_COUNTS, bins), 64 KB at 2 workers and 100 bins
@@ -58,17 +53,16 @@ _COUNTS = 4096
 _WORD = (1 << 64) - 1
 
 
-def _blocks(n: int):
-    """The slices of range(n), in order, of _BLOCK points each but the last."""
-    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
+def _blocks(points: range):
+    """The slices of ``points`` (a range of step 1), in order, of _BLOCK points each but the last."""
+    return (slice(i, min(i + _BLOCK, points.stop)) for i in range(points.start, points.stop, _BLOCK))
 
 
-def _workers(blocks: int, stages: int) -> int:
-    """The worker threads of a chain of ``blocks`` blocks through ``stages``
-    stages (its start and its steps): one per CPU the process may use, no
-    more than there are blocks, and one per _PER_WORKER block-stages."""
+def _workers(n: int) -> int:
+    """The worker threads of a chain of n points: one per CPU the process
+    may use, and no more than there are _BLOCK-point blocks."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    return max(1, min(len(cpus), blocks, blocks * stages // _PER_WORKER))
+    return max(1, min(len(cpus), -(-n // _BLOCK)))
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -172,7 +166,7 @@ def _sample_with_rng(density: StepFunction, n: int, rng: np.random.Generator) ->
     width = min(n, _BLOCK)
     k, j, v = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp), np.empty(width)
     x = np.empty(n)
-    for s in _blocks(n):  # Philox draws in blocks concatenate to the one large draw
+    for s in _blocks(range(n)):  # Philox draws in blocks concatenate to the one large draw
         m = s.stop - s.start
         sample(rng.random(out=x[s]), k[:m], j[:m], v[:m])
     return x
@@ -269,7 +263,7 @@ def histogram_report(values: np.ndarray, reference: StepFunction, bins: int = 10
     # KS = sup |F_n - F| over the sorted values, with F taken in place: F_n
     # steps from (i - 1)/n to i/n at the i-th smallest value
     d_minus = d_plus = -np.inf
-    for s in _blocks(n):
+    for s in _blocks(range(n)):
         f = cdf(xs[s], out=xs[s])
         fn = np.arange(s.start, s.stop + 1, dtype=np.float64)
         fn /= n
@@ -369,17 +363,17 @@ def run_chain(
     invariant density).  Only the last step is reported in full; the
     start is not reported on unless no step is taken.
 
-    The points run in blocks of 32,768 on W worker threads: one per CPU
-    the process may use, at most one per block and one per 8 block-stages,
-    so 10^5 points at 0 or 1 steps stay on the calling thread (worker 0).
-    Worker j carries blocks j, j + W, ... into its own row of counts and
-    its own error slot; the calling thread sums the rows and raises an
-    error once all have joined.  Point i starts at draw i of the (seed,
-    stream) Philox stream and takes its coin for step t from draw t*n + i,
-    so the output does not depend on W.  The chain holds its n points, one
-    sorted copy for the final report and, per worker, three 32,768-value
-    buffers and at most max(4,096, bins) counts: about 16n bytes plus
-    0.75 MB per worker.
+    The points run on W worker threads: one per CPU the process may use
+    and at most one per 32,768 points.  Worker j (the calling thread is
+    worker 0) carries points j*n//W to (j+1)*n//W, in blocks of at most
+    32,768, into its own row of counts and its own error slot; the calling
+    thread sums the rows and raises an error once all have joined.  Point i
+    starts at draw i of the (seed, stream) Philox stream and takes its coin
+    for step t from draw t*n + i, so the output does not depend on W.  The
+    chain holds its n points, one sorted copy for the final report and, per
+    worker, three buffers of min(ceil(n/W), 32,768) values (at most 0.75 MB
+    each worker, about 3n values all together) and at most max(4,096, bins)
+    counts.
 
     Caveat for a = 1/2 in floats: both branches double the mantissa, so
     every orbit lands on dyadic rationals and collapses to 0 after about
@@ -395,7 +389,9 @@ def run_chain(
     fs = as_float_system(system)
     n = n_samples
     key = _rng(seed, stream).bit_generator.state["state"]["key"]
-    sample = _sampler(fs.density) if initial == "density" else None
+    # the uniform start samples Lebesgue, which returns each draw u bit for
+    # bit: (u - 0) / 1 * 1 + 0, clipped to [0, 1]
+    sample = _sampler(fs.density if initial == "density" else StepFunction.constant(1.0))
     # stages 0..n_steps (0 the start, t > 0 step t) run in rounds, so that the
     # bin counts of the intermediate steps a worker holds stay within _COUNTS
     per_round, n_bins = 1, 0
@@ -404,31 +400,29 @@ def run_chain(
         step = _stepper(fs)
         per_round, n_bins = max(1, _COUNTS // bins), bins
     x = np.empty(n)
-    blocks = list(_blocks(n))
-    width = min(n, _BLOCK)
+    workers = _workers(n)
+    width = min(-(-n // workers), _BLOCK)  # the longest span's, or a full block
     # each worker's generator and buffers, made here once per chain, so that
     # no worker allocates a block-sized array (or grows its malloc arena)
     kits = [
         (np.random.Generator(np.random.Philox(key=key)), np.empty(width), np.empty(width, dtype=np.intp), np.empty(width))
-        for _ in range(_workers(len(blocks), n_steps + 1))
+        for _ in range(workers)
     ]
-    errors = [None] * len(kits)
+    errors = [None] * workers
 
     def carry(j: int, t0: int, t1: int, counts: np.ndarray) -> None:
-        """Carry blocks j, j + W, j + 2W, ... (W workers) through stages
-        t0..t1 - 1, adding their bin counts after step t < n_steps to
-        counts[j, t - t0]; an error goes to errors[j]."""
+        """Carry points j*n//W to (j+1)*n//W, block by block, through
+        stages t0..t1 - 1, adding their bin counts after step t < n_steps
+        to counts[j, t - t0]; an error goes to errors[j]."""
         rng, coin_buf, k_buf, y_buf = kits[j]
         try:
-            for s in blocks[j :: len(kits)]:
+            for s in _blocks(range(j * n // workers, (j + 1) * n // workers)):
                 xs = x[s]
                 m = len(xs)
                 coins, k, y = coin_buf[:m], k_buf[:m], y_buf[:m]
                 for t in range(t0, t1):
-                    if t == 0:  # point i starts at draw i
-                        _draws(rng, s.start, xs)
-                        if sample is not None:  # the coins' buffer, free until step 1, holds the piece indices
-                            sample(xs, k, coins.view(np.intp)[:m], y)
+                    if t == 0:  # point i starts at draw i; the coins' buffer, free until step 1, holds piece indices
+                        sample(_draws(rng, s.start, xs), k, coins.view(np.intp)[:m], y)
                         continue
                     step(xs, _draws(rng, t * n + s.start, coins), k, y)  # point i's coin at step t is draw t*n + i
                     if t < n_steps:  # off a sorted copy in the coins' buffer
@@ -443,8 +437,8 @@ def run_chain(
     distances = []  # only the L1 figure of an intermediate step is kept
     for t0 in range(0, n_steps + 1, per_round):
         t1 = min(t0 + per_round, n_steps + 1)
-        counts = np.zeros((len(kits), t1 - t0, n_bins), dtype=np.intp)
-        threads = [threading.Thread(target=carry, args=(j, t0, t1, counts)) for j in range(1, len(kits))]
+        counts = np.zeros((workers, t1 - t0, n_bins), dtype=np.intp)
+        threads = [threading.Thread(target=carry, args=(j, t0, t1, counts)) for j in range(1, workers)]
         for thread in threads:
             thread.start()
         try:

@@ -367,7 +367,8 @@ class TestTolerance:
         assert main(["solve-alpha", self.uniform_task(tmp_path), "--tol", "1/8"]) == 0
         assert system_from_json(capsys.readouterr().out) == lebesgue_family(4)
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x", "1/0"])
+    # Fraction reads "1_000" from Python 3.11 on; parse_scalar never does
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x", "1/0", "1_000", "1_0/2", "1/2_0"])
     def test_bad_tolerance_exits_two(self, tmp_path, capsys, tol):
         path = self.off_by_a_quarter(tmp_path)
         floats = write_system(tmp_path, as_float_system(golden_system()), "float.json")

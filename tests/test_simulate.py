@@ -561,13 +561,48 @@ class TestParallelChain:
 
 class TestWorkerCount:
     @pytest.mark.parametrize(
-        ("blocks", "stages", "workers"),
-        [(1, 10**6, 1), (4, 1, 1), (4, 2, 1), (4, 6, 3), (31, 1, 3), (31, 2, 4), (2, 21, 2)],
+        ("cpus", "n", "workers"),
+        [
+            (4, 1, 1),
+            (4, BLOCK, 1),
+            (4, BLOCK + 1, 2),
+            (4, 3 * BLOCK, 3),
+            (4, 100_000, 4),
+            (4, 10**6, 4),
+            (2, BLOCK + 1, 2),
+            (2, 10**6, 2),
+            (1, 10**6, 1),
+        ],
     )
-    def test_one_per_cpu_block_and_eight_block_stages(self, monkeypatch, blocks, stages, workers):
-        # 10^5 points are 4 blocks: at 0 or 1 steps the chain stays on the calling thread
-        monkeypatch.setattr(twoval.simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert twoval.simulate._workers(blocks, stages) == workers
+    def test_one_per_cpu_and_per_block(self, monkeypatch, cpus, n, workers):
+        # 10^5 points are 4 blocks: on two CPUs they run on two workers
+        monkeypatch.setattr(twoval.simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert twoval.simulate._workers(n) == workers
+
+
+class TestSpans:
+    @pytest.mark.parametrize(("n", "workers"), [(100_000, 2), (3 * BLOCK, 3), (100_003, 3)])
+    def test_each_worker_starts_one_contiguous_span_of_its_share(self, monkeypatch, n, workers):
+        # worker j (the calling thread is 0) draws the starts of points
+        # j*n//W to (j+1)*n//W, in blocks of at most 32,768
+        starts = []  # (thread, first draw, draws) of each start block
+
+        def draws(rng, d, out, _real=twoval.simulate._draws):
+            if d < n:  # a start: draws t*n + i are step t's coins
+                starts.append((threading.current_thread(), d, len(out)))
+            return _real(rng, d, out)
+
+        monkeypatch.setattr(twoval.simulate, "_draws", draws)
+        monkeypatch.setattr(twoval.simulate, "_workers", lambda *args: workers)
+        run_chain(golden_system(), n, 1, seed=3)
+        spans = {}  # the Thread objects, not their reusable idents
+        for thread, d, m in sorted(starts, key=lambda start: start[1]):
+            spans.setdefault(thread, []).append((d, m))
+        assert list(spans)[0] is threading.main_thread()
+        assert len(spans) == workers
+        for j, blocks in enumerate(spans.values()):
+            lo, hi = j * n // workers, (j + 1) * n // workers
+            assert blocks == [(d, min(BLOCK, hi - d)) for d in range(lo, hi, BLOCK)]
 
 
 class TestPositionedDraws:
